@@ -673,30 +673,17 @@ measurePriorityScheduling(bool prioritized)
     return out;
 }
 
-/** One staged-vs-monolithic run: modeled throughput plus host time. */
-struct StageOutcome
-{
-    double modeledAlignsPerSec = 0; //!< cycle-domain, deterministic
-    double wallSeconds = 0;         //!< host wall-clock of runAll()
-    std::vector<double> scores;     //!< per job, for the identity check
-};
-
 /**
  * Traceback-heavy single-worker shard on one channel: 256 banded-global
  * 2048-base pairs at band 8, 8 SIMD lanes, traceback on. Narrow-band
  * long pairs are the shape where the traceback epilogue matters: fill
  * is O(len x band) and vectorized across lanes while traceback is an
- * O(len) scalar pointer walk per pair, so the two phases are
- * comparable in host time. With @p staged the backend splits each
- * shard into fill and traceback stages over a depth-4 FIFO so
- * traceback of lane group i overlaps fill of group i+1 on the host;
- * without it the two phases serialize per group. Modeled cycles (and
- * therefore aligns_per_sec) are identical by construction — only host
- * wall-clock moves — so the modeled rate is safe for bench_diff's hard
- * gate while the wall-clock seconds stay ungated.
+ * O(len) scalar pointer walk per pair. Returns the modeled rate, which
+ * is deterministic (cycle accounting is analytic) and therefore safe
+ * for bench_diff's hard gate.
  */
-StageOutcome
-measureStagePipeline(bool staged)
+double
+measureStagePipeline()
 {
     using K = kernels::BandedGlobalLinear;
     host::BatchConfig cfg;
@@ -709,8 +696,6 @@ measureStagePipeline(bool staged)
     cfg.maxQueryLength = 2048;
     cfg.maxReferenceLength = 2048;
     cfg.collectPathStats = false;
-    cfg.stagePipeline = staged;
-    cfg.stageFifoDepth = 4;
     host::StreamPipeline<K> pipeline(cfg);
 
     std::vector<host::AlignmentJob<seq::DnaChar>> jobs;
@@ -723,31 +708,28 @@ measureStagePipeline(bool staged)
         jobs.push_back(std::move(j));
     }
 
-    StageOutcome out;
-    std::vector<host::StreamPipeline<K>::Result> results;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto stats = pipeline.runAll(jobs, &results);
-    out.wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    out.modeledAlignsPerSec = stats.alignsPerSec;
-    out.scores.reserve(results.size());
-    for (const auto &r : results)
-        out.scores.push_back(r.scoreAsDouble());
-    return out;
+    return pipeline.runAll(jobs).alignsPerSec;
 }
+
+/** Outcome of the preempt-to-dispatch measurement. */
+struct PreemptOutcome
+{
+    double ms = 0;          //!< submit-to-callback of the urgent ticket
+    bool identical = false; //!< preempted bulk == unpreempted bulk
+};
 
 /**
  * Preempt-to-dispatch latency: wall-clock from submitting a priority-10
  * single-pair ticket while a 512-pair bulk shard is mid-flight on the
- * only worker (staged execution + preemption on) until the urgent
- * ticket's completion callback fires. The bulk shard yields at its next
- * stage boundary instead of running to completion, so this bounds the
- * scheduling latency a latency-critical ticket sees behind bulk work.
- * Pure wall-clock — reported for trend-watching, never gated.
+ * only worker (preemption on) until the urgent ticket's completion
+ * callback fires. The bulk shard yields at its next lane-group boundary
+ * instead of running to completion, so this bounds the scheduling
+ * latency a latency-critical ticket sees behind bulk work. Pure
+ * wall-clock — reported for trend-watching, never gated. The preempted
+ * bulk ticket's results are also diffed against an unpreempted run.
  */
-double
-measurePreemptToDispatchMs()
+PreemptOutcome
+measurePreemptToDispatch()
 {
     using K = kernels::GlobalAffine;
     host::BatchConfig cfg;
@@ -758,8 +740,6 @@ measurePreemptToDispatchMs()
     cfg.maxQueryLength = 512;
     cfg.maxReferenceLength = 512;
     cfg.collectPathStats = false;
-    cfg.stagePipeline = true;
-    cfg.stageFifoDepth = 4;
     cfg.preemption = true;
     host::StreamPipeline<K> pipeline(cfg);
 
@@ -775,8 +755,9 @@ measurePreemptToDispatchMs()
         }
         return jobs;
     };
+    const auto bulk_jobs = makeJobs(512, 288, 0xb01d);
 
-    auto bulk = pipeline.submit(makeJobs(512, 288, 0xb01d));
+    auto bulk = pipeline.submitBorrowed(bulk_jobs);
     // Let the bulk shard actually start filling before the urgent
     // ticket lands, so the measurement includes a real mid-shard yield.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -796,8 +777,19 @@ measurePreemptToDispatchMs()
         });
     urgent->wait();
     bulk->wait();
+
+    std::vector<host::StreamPipeline<K>::Result> want;
+    pipeline.runAll(bulk_jobs, &want);
+    PreemptOutcome out;
+    out.ms = ms.load(std::memory_order_relaxed);
+    out.identical = want.size() == bulk->results().size();
+    for (size_t i = 0; out.identical && i < want.size(); i++) {
+        const auto &got = bulk->results()[i];
+        out.identical = want[i].scoreAsDouble() == got.scoreAsDouble() &&
+                        want[i].ops == got.ops;
+    }
     pipeline.drain();
-    return ms.load(std::memory_order_relaxed);
+    return out;
 }
 
 /**
@@ -1010,36 +1002,21 @@ writeJson(const std::string &path)
     w.kv("result_sets_identical", prio_same_results);
     w.endObject();
 
-    // Stage-pipeline section: host wall-clock of a traceback-heavy
-    // shard with per-pair fill/traceback serialization vs the staged
-    // FIFO overlap, plus the preempt-to-dispatch latency of a priority
-    // ticket landing mid-bulk-shard. Modeled throughput is identical
-    // across both paths (cycle accounting is analytic) and hard-gated;
-    // the wall-clock seconds and latency are reported ungated.
-    const StageOutcome mono_run = measureStagePipeline(false);
-    const StageOutcome staged_run = measureStagePipeline(true);
-    const double preempt_ms = measurePreemptToDispatchMs();
-    const bool stage_same = mono_run.scores == staged_run.scores;
+    // Stage-pipeline section: the modeled throughput of a
+    // traceback-heavy shard (hard-gated), plus the preempt-to-dispatch
+    // latency of a priority ticket landing mid-bulk-shard (ungated
+    // wall-clock) and the preempted bulk's identity with an
+    // unpreempted run.
+    const double stage_rate = measureStagePipeline();
+    const PreemptOutcome preempt = measurePreemptToDispatch();
     w.key("stage_pipeline");
     w.beginObject();
     w.kv("workload",
          "256 banded-global DNA pairs 2048x2048 band 8, 8 lanes, "
-         "traceback on, 1 channel, 1 worker, stage FIFO depth 4");
-    // Overlap needs a second core for the consumer stage: on a 1-CPU
-    // host the stages timeshare and the speedup reads ~1x or below.
-    w.kv("host_cpus",
-         static_cast<int>(std::thread::hardware_concurrency()));
-    w.kv("modeled_aligns_per_sec", staged_run.modeledAlignsPerSec);
-    w.kv("serialized_shard_seconds", mono_run.wallSeconds);
-    w.kv("overlapped_shard_seconds", staged_run.wallSeconds);
-    w.kv("overlap_speedup",
-         staged_run.wallSeconds > 0
-             ? mono_run.wallSeconds / staged_run.wallSeconds
-             : 0.0);
-    w.kv("preempt_to_dispatch_ms", preempt_ms);
-    w.kv("modeled_rates_identical",
-         mono_run.modeledAlignsPerSec == staged_run.modeledAlignsPerSec);
-    w.kv("result_sets_identical", stage_same);
+         "traceback on, 1 channel, 1 worker");
+    w.kv("modeled_aligns_per_sec", stage_rate);
+    w.kv("preempt_to_dispatch_ms", preempt.ms);
+    w.kv("result_sets_identical", preempt.identical);
     w.endObject();
 
     // Mixed-workload section: realtime sDTW basecalling + interactive
@@ -1128,14 +1105,9 @@ writeJson(const std::string &path)
                 1e3 * fifo_p99, 1e3 * prio_p99,
                 prio_p99 > 0 ? fifo_p99 / prio_p99 : 0.0,
                 prio_same_results ? "yes" : "NO");
-    std::printf("stage pipeline: serialized %.3f s vs overlapped %.3f s "
-                "(%.2fx), preempt-to-dispatch %.2f ms, results "
-                "identical: %s\n",
-                mono_run.wallSeconds, staged_run.wallSeconds,
-                staged_run.wallSeconds > 0
-                    ? mono_run.wallSeconds / staged_run.wallSeconds
-                    : 0.0,
-                preempt_ms, stage_same ? "yes" : "NO");
+    std::printf("stage pipeline: preempt-to-dispatch %.2f ms, preempted "
+                "results identical: %s\n",
+                preempt.ms, preempt.identical ? "yes" : "NO");
     std::printf("mixed workloads: realtime p99 %.3f ms, interactive "
                 "p99 %.3f ms, %zu+%zu+%zu tickets, results identical: "
                 "%s\n",

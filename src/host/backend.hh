@@ -10,19 +10,18 @@
  * each job to a backend and aggregates per-backend accounting, so the
  * heterogeneous split stays visible in the epoch statistics.
  *
- * Four implementations:
+ * Three implementations:
  *
- *  - DeviceChannelBackend: one simulated device channel — the scalar
- *    cycle-level systolic engine plus the greedy NB-block arbiter
- *    (extracted from the old BatchPipeline::Channel). Per-job device
- *    cycles are the engine's analytic totals plus the configured host
- *    overhead; channel busy cycles are the arbiter makespan.
- *  - LaneChannelBackend: the same channel driven through the SIMD lane
- *    engine — jobs are sorted by (qlen, rlen) and grouped into lockstep
- *    lanes so mixed-length batches share a smaller padded iteration
- *    space. Results and per-job cycles are bit-identical to the scalar
- *    backend (the lane engine's per-lane guarantees); the arbiter runs
- *    in original shard order so channel accounting is unchanged too.
+ *  - ChannelBackend: one simulated device channel — the fast-path
+ *    systolic engine, the SIMD lane engine for lane groups, and the
+ *    greedy NB-block arbiter. Jobs are sorted by (qlen, rlen) and
+ *    grouped into lockstep lanes so mixed-length batches share a
+ *    smaller padded iteration space; results and per-job cycles are
+ *    bit-identical at every lane width (the lane engine's per-lane
+ *    guarantees), and the arbiter runs in original shard order so
+ *    channel accounting is unchanged too. Per-job device cycles are the
+ *    engine's analytic totals plus the configured host overhead;
+ *    channel busy cycles are the arbiter makespan.
  *  - CpuBaselineBackend: the classic full-matrix CPU implementation
  *    (the golden model the engine is verified against) executed across
  *    host threads with cpu_runner's wall-clock methodology; cycles are
@@ -38,9 +37,8 @@
  * Every backend also answers estimate(job) — a cost-model service-time
  * estimate (device channels from the analytic cycle formulas in
  * engine_common.hh, the CPU backend from an EWMA of measured cells/sec,
- * the GPU model from its GCUPS) — and carries a live queued-work signal
- * the StreamPipeline's cost-model dispatch policy reads to pick the
- * backend with the lowest estimated completion time.
+ * the GPU model from its GCUPS) — which the StreamPipeline adds to its
+ * per-slot queued-work signal to route and to admit tickets.
  */
 
 #ifndef DPHLS_HOST_BACKEND_HH
@@ -52,15 +50,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/cpu_runner.hh"
 #include "baselines/gpu_model.hh"
 #include "host/result_cache.hh"
 #include "host/scheduler.hh"
-#include "host/stage_flow.hh"
 #include "reference/matrix_aligner.hh"
 #include "systolic/engine.hh"
 #include "systolic/isa_tier.hh"
@@ -131,19 +128,48 @@ struct CostEstimate
 };
 
 /**
+ * Per-run control block handed from the dispatcher into
+ * AlignBackend::run(). Inputs tell the backend when to yield; outputs
+ * tell the dispatcher which jobs actually wrote back so it can re-queue
+ * or cancel-account the rest.
+ */
+struct StageRunControl
+{
+    /** Preemption token of this run; null = preemption disabled. */
+    const PreemptToken *preempt = nullptr;
+    /** Owning ticket's cancellation flag; null = not cancellable. */
+    const std::atomic<bool> *cancelled = nullptr;
+
+    /**
+     * Out: done[k] == 1 once jobs[indices[k]]'s writeback completed;
+     * sized by the backend. Not an indices prefix: grouping backends
+     * finish out of submission order.
+     */
+    std::vector<uint8_t> done;
+    /** Out: the backend stopped at a preemption point. */
+    bool preempted = false;
+
+    /** True when the backend must stop starting new jobs. */
+    bool
+    shouldYield()
+    {
+        if (cancelled != nullptr &&
+            cancelled->load(std::memory_order_acquire))
+            return true;
+        if (preempt != nullptr && preempt->requested()) {
+            preempted = true;
+            return true;
+        }
+        return false;
+    }
+};
+
+/**
  * A backend that can align a set of jobs. run() fills the per-job
  * output slots (indexed by job index, so submission-order collation is
  * free) and folds its arbiter accounting into @p acct. Implementations
  * are stateful (engines, scratch buffers); the pipeline serializes
- * run() calls per backend instance.
- *
- * For cost-model dispatch the base class additionally tracks queued
- * estimated work: callers pair noteEnqueued() with noteCompleted() so
- * queuedSeconds() is a live backlog signal. (The StreamPipeline now
- * keeps its routing backlog in its own dispatch slots rather than in
- * backend state, so releasing a cancelled shard's backlog never has to
- * reach into a backend whose pipeline may be mid-destruction; the
- * signal stays available here for hosts driving backends directly.)
+ * run() calls per device-channel instance.
  */
 template <core::KernelSpec K>
 class AlignBackend
@@ -175,79 +201,30 @@ class AlignBackend
 
     /**
      * Align jobs[indices[k]] for every k; write each job's result and
-     * cycle count into results[idx] / cycles[idx]; add the run's
-     * arbiter accounting to @p acct.
+     * cycle count into results[idx] / cycles[idx] and set
+     * ctl.done[k]; add the run's arbiter accounting (over the completed
+     * jobs only) to @p acct. A backend may poll ctl.shouldYield()
+     * between jobs and return early, leaving the unstarted jobs
+     * not-done for the dispatcher to re-queue or cancel-account.
      */
     virtual void run(const std::vector<Job> &jobs,
                      const std::vector<int> &indices, Result *results,
-                     uint64_t *cycles, ChannelStats &acct) = 0;
-
-    /**
-     * True when runStaged() actually decouples fill from traceback
-     * with preemption points between stages; false means runStaged()
-     * degrades to a monolithic run() that never yields.
-     */
-    virtual bool supportsStagedRun() const { return false; }
-
-    /**
-     * Stage-pipelined variant of run(): the backend executes the shard
-     * as fill (producer) and traceback/writeback (consumer) stages over
-     * a bounded FIFO, polling @p ctl at stage boundaries. On return,
-     * ctl.done marks which jobs wrote back; the dispatcher re-queues or
-     * cancel-accounts the rest. The default is the monolithic run() with
-     * every job marked done — correct for backends with no separable
-     * stages.
-     */
-    virtual void
-    runStaged(const std::vector<Job> &jobs,
-              const std::vector<int> &indices, Result *results,
-              uint64_t *cycles, ChannelStats &acct, StageRunControl &ctl)
-    {
-        run(jobs, indices, results, cycles, acct);
-        std::fill(ctl.done.begin(), ctl.done.end(), uint8_t{1});
-    }
-
-    /** Estimated seconds of routed-but-unfinished work (queue depth). */
-    double
-    queuedSeconds() const
-    {
-        return static_cast<double>(
-                   _queuedMicros.load(std::memory_order_relaxed)) *
-               1e-6;
-    }
-
-    /** Router-side: account @p seconds of estimated work as queued. */
-    void
-    noteEnqueued(double seconds)
-    {
-        _queuedMicros.fetch_add(toMicros(seconds),
-                                std::memory_order_relaxed);
-    }
-
-    /** Executor-side: retire @p seconds of previously queued work. */
-    void
-    noteCompleted(double seconds)
-    {
-        _queuedMicros.fetch_sub(toMicros(seconds),
-                                std::memory_order_relaxed);
-    }
-
-  private:
-    static int64_t
-    toMicros(double seconds)
-    {
-        return static_cast<int64_t>(std::llround(seconds * 1e6));
-    }
-
-    std::atomic<int64_t> _queuedMicros{0};
+                     uint64_t *cycles, ChannelStats &acct,
+                     StageRunControl &ctl) = 0;
 };
 
 /**
- * One simulated device channel: scalar cycle-level engine, shared
- * result cache, and the greedy NB-block arbiter.
+ * One simulated device channel: fast-path systolic engine, SIMD lane
+ * engine, shared result cache, and the greedy NB-block arbiter. Jobs
+ * run in lane groups of up to @p lane_width (1 = one job at a time on
+ * the scalar engine), processed in (qlen, rlen) order when length-aware
+ * grouping is on so each lane group shares a similar padded iteration
+ * space. Cache lookups interleave with lane-group flushes, so a pair
+ * repeated later in the same shard hits once its first instance's
+ * group has been computed and inserted.
  */
 template <core::KernelSpec K>
-class DeviceChannelBackend : public AlignBackend<K>
+class ChannelBackend : public AlignBackend<K>
 {
   public:
     using Base = AlignBackend<K>;
@@ -255,13 +232,20 @@ class DeviceChannelBackend : public AlignBackend<K>
     using typename Base::Params;
     using typename Base::Result;
 
-    DeviceChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
-                         int nb, uint64_t host_overhead_cycles,
-                         double fmax_mhz, ShardedResultCache<Result> *cache)
-        : _engine(ecfg, params), _params(params),
+    ChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
+                   int nb, uint64_t host_overhead_cycles, double fmax_mhz,
+                   ShardedResultCache<Result> *cache, int lane_width = 1,
+                   bool sort_by_length = true, bool intra_pair_simd = false,
+                   int intra_pair_min_len = 1024)
+        : _engine(ecfg, params), _lanes(ecfg, params),
+          _diagEngine(diagConfig(ecfg), params), _params(params),
           _cache(cache), _cfgSalt(engineConfigSalt(ecfg)),
           _hostOverhead(host_overhead_cycles), _fmaxMhz(fmax_mhz),
-          _blockFree(static_cast<size_t>(std::max(1, nb)), 0)
+          _blockFree(static_cast<size_t>(std::max(1, nb)), 0),
+          _width(std::clamp(lane_width, 1,
+                            sim::LaneAligner<K>::maxLanes)),
+          _sortByLength(sort_by_length), _intraPairSimd(intra_pair_simd),
+          _intraPairMinLen(intra_pair_min_len)
     {}
 
     const char *name() const override { return "device"; }
@@ -306,102 +290,105 @@ class DeviceChannelBackend : public AlignBackend<K>
                 true};
     }
 
-    void
-    run(const std::vector<Job> &jobs, const std::vector<int> &indices,
-        Result *results, uint64_t *cycles, ChannelStats &acct) override
-    {
-        computeResults(jobs, indices, results, cycles);
-        arbitrate(indices, cycles, acct);
-    }
-
-    bool
-    supportsStagedRun() const override
-    {
-        return _engine.supportsStagedFill();
-    }
-
     /**
-     * Staged shard execution: this worker fills job i+1 while a
-     * consumer thread runs the traceback + writeback of job i off the
-     * bounded FIFO. Cache hits travel through the FIFO too, so every
-     * writeback happens on the consumer in submission order. Results
-     * and cycles are bit-identical to run(): the fill/traceback split
-     * reproduces the exact per-cell dataflow and the analytic cycle
-     * accounting is order-independent.
+     * Run the shard lane group by lane group. Before each job the run
+     * polls ctl.shouldYield() — the shard's preemption and mid-shard
+     * cancel point — and on a yield the partly formed group, which
+     * never started, stays not-done with the rest. Sorting only
+     * reorders the compute: per-lane results and analytic cycle stats
+     * are grouping-independent, and the arbiter runs over the completed
+     * jobs in shard order, so everything observable is bit-identical at
+     * every lane width.
      */
     void
-    runStaged(const std::vector<Job> &jobs,
-              const std::vector<int> &indices, Result *results,
-              uint64_t *cycles, ChannelStats &acct,
-              StageRunControl &ctl) override
+    run(const std::vector<Job> &jobs, const std::vector<int> &indices,
+        Result *results, uint64_t *cycles, ChannelStats &acct,
+        StageRunControl &ctl) override
     {
-        if (!_engine.supportsStagedFill()) {
-            Base::runStaged(jobs, indices, results, cycles, acct, ctl);
-            return;
+        const auto jobAt = [&](size_t k) -> const Job & {
+            return jobs[static_cast<size_t>(indices[k])];
+        };
+        ctl.done.assign(indices.size(), 0);
+        std::vector<size_t> order(indices.size()); // positions in indices
+        std::iota(order.begin(), order.end(), size_t{0});
+        if (_width > 1 && _sortByLength) {
+            std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+                return std::make_tuple(jobAt(a).query.length(),
+                                       jobAt(a).reference.length(),
+                                       indices[a]) <
+                       std::make_tuple(jobAt(b).query.length(),
+                                       jobAt(b).reference.length(),
+                                       indices[b]);
+            });
         }
 
-        struct Item
-        {
-            size_t k = 0; //!< position in indices
-            bool fromCache = false;
-            Result res;           //!< cache-hit payload
-            uint64_t resCycles = 0;
-            sim::FastFillState<K> fill;
-            PairHash key;
+        std::vector<size_t> group; // positions awaiting the engine
+        group.reserve(static_cast<size_t>(_width));
+        std::vector<PairHash> group_keys;
+        group_keys.reserve(static_cast<size_t>(_width));
+
+        const auto flushGroup = [&]() {
+            if (group.empty())
+                return;
+            if (group.size() > 1) {
+                using Lane = typename sim::LaneAligner<K>::LanePair;
+                std::vector<Lane> lanes(group.size());
+                for (size_t m = 0; m < group.size(); m++) {
+                    const Job &job = jobAt(group[m]);
+                    lanes[m] = Lane{&job.query, &job.reference};
+                }
+                auto lane_results = _lanes.alignLanes(lanes);
+                for (size_t m = 0; m < group.size(); m++) {
+                    finishJob(group_keys[m], indices[group[m]],
+                              std::move(lane_results[m]),
+                              _lanes.laneTotalCycles(static_cast<int>(m)),
+                              results, cycles);
+                }
+            } else {
+                const Job &job = jobAt(group[0]);
+                // A group of one means no sibling pairs fill the SIMD
+                // lanes; a long enough pair instead vectorizes along
+                // its own anti-diagonals (results and cycle stats are
+                // bit-identical across paths, so routing is free).
+                const bool intra = _intraPairSimd &&
+                    std::min(job.query.length(),
+                             job.reference.length()) >= _intraPairMinLen;
+                auto &engine = intra ? _diagEngine : _engine;
+                Result res = engine.align(job.query, job.reference);
+                finishJob(group_keys[0], indices[group[0]], std::move(res),
+                          engine.lastTotalCycles(), results, cycles);
+            }
+            for (const size_t k : group)
+                ctl.done[k] = 1;
+            group.clear();
+            group_keys.clear();
         };
 
-        BoundedFifo<Item> fifo(static_cast<size_t>(ctl.fifoDepth));
-        const sim::CycleModelOptions cycle_model =
-            _engine.config().cycles;
-        StageWorker consumer([&] {
-            while (auto item = fifo.pop()) {
-                const size_t idx = static_cast<size_t>(
-                    indices[item->k]);
-                if (item->fromCache) {
-                    results[idx] = std::move(item->res);
-                    cycles[idx] = item->resCycles;
-                } else {
-                    Result res = _engine.tracebackStage(item->fill);
-                    const uint64_t engine_cycles =
-                        sim::totalCycles(item->fill.stats, cycle_model);
-                    if (cacheEnabled())
-                        _cache->insert(item->key, res, engine_cycles);
-                    cycles[idx] = engine_cycles + _hostOverhead;
-                    results[idx] = std::move(res);
-                    _engine.recycleStage(std::move(item->fill));
-                }
-                ctl.done[item->k] = 1;
-            }
-        });
-
-        for (size_t k = 0; k < indices.size(); k++) {
-            if (ctl.shouldYield())
+        bool yielded = false;
+        for (const size_t k : order) {
+            if (ctl.shouldYield()) {
+                yielded = true;
                 break;
-            const auto &job =
-                jobs[static_cast<size_t>(indices[k])];
-            Item item;
-            item.k = k;
+            }
+            const int idx = indices[k];
+            PairHash key;
             if (cacheEnabled()) {
-                item.key = pairHash(job.query, job.reference, _params,
-                                    _cfgSalt);
-                if (auto hit = _cache->lookup(item.key)) {
-                    item.fromCache = true;
-                    item.res = std::move(hit->result);
-                    item.resCycles = hit->cycles + _hostOverhead;
-                    fifo.push(std::move(item));
+                key = pairHash(jobAt(k).query, jobAt(k).reference, _params,
+                               _cfgSalt);
+                if (lookupCached(key, idx, results, cycles)) {
+                    ctl.done[k] = 1;
                     continue;
                 }
             }
-            item.fill = _engine.fillStage(job.query, job.reference);
-            fifo.push(std::move(item));
+            group.push_back(k);
+            group_keys.push_back(key);
+            if (static_cast<int>(group.size()) >= _width)
+                flushGroup();
         }
-        fifo.close();
-        consumer.join();
-
-        // Arbitrate the jobs that wrote back, in indices order — the
-        // same set and order as run() when nothing yielded; a partial
-        // run's makespan sums with its resumption's (accounting split
-        // across resumptions).
+        if (!yielded)
+            flushGroup();
+        // Arbitrate the jobs that wrote back, in indices order; a
+        // partial run's makespan sums with its resumption's.
         std::vector<int> completed;
         completed.reserve(indices.size());
         for (size_t k = 0; k < indices.size(); k++) {
@@ -411,26 +398,13 @@ class DeviceChannelBackend : public AlignBackend<K>
         arbitrate(completed, cycles, acct);
     }
 
-  protected:
-    /** Functional results and per-job device cycles (scalar engine). */
-    virtual void
-    computeResults(const std::vector<Job> &jobs,
-                   const std::vector<int> &indices, Result *results,
-                   uint64_t *cycles)
+  private:
+    static sim::EngineConfig
+    diagConfig(sim::EngineConfig ecfg)
     {
-        for (const int idx : indices) {
-            const auto &job = jobs[static_cast<size_t>(idx)];
-            PairHash key;
-            if (cacheEnabled()) {
-                key = pairHash(job.query, job.reference, _params,
-                               _cfgSalt);
-                if (lookupCached(key, idx, results, cycles))
-                    continue;
-            }
-            Result res = _engine.align(job.query, job.reference);
-            finishJob(key, idx, std::move(res),
-                      _engine.lastTotalCycles(), results, cycles);
-        }
+        ecfg.path = sim::EnginePath::DiagSimd;
+        ecfg.trace = nullptr; // DiagSimd has no schedule observability
+        return ecfg;
     }
 
     /**
@@ -481,337 +455,14 @@ class DeviceChannelBackend : public AlignBackend<K>
     }
 
     sim::SystolicAligner<K> _engine;
+    sim::LaneAligner<K> _lanes;
+    sim::SystolicAligner<K> _diagEngine;
     Params _params;
     ShardedResultCache<Result> *_cache;
     uint64_t _cfgSalt;
     uint64_t _hostOverhead;
     double _fmaxMhz;
     std::vector<uint64_t> _blockFree;
-};
-
-/**
- * A device channel whose compute phase runs the lockstep SIMD lane
- * engine with length-aware grouping: jobs are processed in (qlen, rlen)
- * order so each lane group shares a similar padded iteration space.
- * Cache lookups interleave with lane-group flushes, so a pair repeated
- * later in the same shard hits once its first instance's group has been
- * computed and inserted.
- */
-template <core::KernelSpec K>
-class LaneChannelBackend : public DeviceChannelBackend<K>
-{
-  public:
-    using Base = DeviceChannelBackend<K>;
-    using typename Base::Job;
-    using typename Base::Params;
-    using typename Base::Result;
-
-    LaneChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
-                       int nb, uint64_t host_overhead_cycles,
-                       double fmax_mhz,
-                       ShardedResultCache<Result> *cache, int lane_width,
-                       bool sort_by_length, bool intra_pair_simd = false,
-                       int intra_pair_min_len = 1024)
-        : Base(ecfg, params, nb, host_overhead_cycles, fmax_mhz, cache),
-          _lanes(ecfg, params), _diagEngine(diagConfig(ecfg), params),
-          _width(std::clamp(lane_width, 1,
-                            sim::LaneAligner<K>::maxLanes)),
-          _sortByLength(sort_by_length), _intraPairSimd(intra_pair_simd),
-          _intraPairMinLen(intra_pair_min_len)
-    {}
-
-    /** Lane groups always fill/traceback-split (singles fall back). */
-    bool supportsStagedRun() const override { return true; }
-
-    /**
-     * Staged lane-channel shard: lane-group fills are the producer
-     * stage, per-lane traceback epilogues the consumer stage, and the
-     * boundaries between lane groups are the preemption/cancel points.
-     * Intra-pair (DiagSimd) and non-fast single jobs complete in the
-     * producer and travel through the FIFO as ready writebacks, so the
-     * consumer remains the only writer of results/cycles/done.
-     */
-    void
-    runStaged(const std::vector<Job> &jobs,
-              const std::vector<int> &indices, Result *results,
-              uint64_t *cycles, ChannelStats &acct,
-              StageRunControl &ctl) override
-    {
-        using LaneFill = typename sim::LaneAligner<K>::LaneFillState;
-        enum class Kind : uint8_t
-        {
-            Ready,      //!< producer-finished result, writeback only
-            SingleFill, //!< one fast-path fill state
-            Group       //!< one lane group's fill states
-        };
-        struct Item
-        {
-            Kind kind = Kind::Ready;
-            size_t k = 0; //!< Ready/SingleFill: position in indices
-            Result res;
-            uint64_t resCycles = 0;
-            sim::FastFillState<K> fill;
-            PairHash key;
-            std::vector<LaneFill> states;
-            std::vector<size_t> ks; //!< Group: per-lane positions
-            std::vector<PairHash> keys;
-        };
-
-        const sim::CycleModelOptions cycle_model =
-            this->_engine.config().cycles;
-        BoundedFifo<Item> fifo(static_cast<size_t>(ctl.fifoDepth));
-        StageWorker consumer([&] {
-            while (auto item = fifo.pop()) {
-                if (item->kind == Kind::Ready) {
-                    const size_t idx =
-                        static_cast<size_t>(indices[item->k]);
-                    results[idx] = std::move(item->res);
-                    cycles[idx] = item->resCycles;
-                    ctl.done[item->k] = 1;
-                } else if (item->kind == Kind::SingleFill) {
-                    const size_t idx =
-                        static_cast<size_t>(indices[item->k]);
-                    Result res =
-                        this->_engine.tracebackStage(item->fill);
-                    const uint64_t ec = sim::totalCycles(
-                        item->fill.stats, cycle_model);
-                    if (this->cacheEnabled())
-                        this->_cache->insert(item->key, res, ec);
-                    cycles[idx] = ec + this->_hostOverhead;
-                    results[idx] = std::move(res);
-                    this->_engine.recycleStage(std::move(item->fill));
-                    ctl.done[item->k] = 1;
-                } else {
-                    size_t m = 0;
-                    for (LaneFill &st : item->states) {
-                        for (int lane = 0; lane < st.count;
-                             lane++, m++) {
-                            sim::CycleStats stats;
-                            Result res =
-                                _lanes.laneTraceback(st, lane, stats);
-                            const uint64_t ec =
-                                sim::totalCycles(stats, cycle_model);
-                            const size_t kpos = item->ks[m];
-                            const size_t idx =
-                                static_cast<size_t>(indices[kpos]);
-                            if (this->cacheEnabled())
-                                this->_cache->insert(item->keys[m], res,
-                                                     ec);
-                            cycles[idx] = ec + this->_hostOverhead;
-                            results[idx] = std::move(res);
-                            ctl.done[kpos] = 1;
-                        }
-                        _lanes.recycleBank(std::move(st));
-                    }
-                }
-            }
-        });
-
-        // Producer: same length-aware grouping as computeResults().
-        std::vector<int> order(indices);
-        if (_sortByLength && order.size() > 1) {
-            std::sort(order.begin(), order.end(), [&](int a, int b) {
-                const auto &ja = jobs[static_cast<size_t>(a)];
-                const auto &jb = jobs[static_cast<size_t>(b)];
-                return std::make_tuple(ja.query.length(),
-                                       ja.reference.length(), a) <
-                       std::make_tuple(jb.query.length(),
-                                       jb.reference.length(), b);
-            });
-        }
-        std::unordered_map<int, size_t> pos;
-        pos.reserve(indices.size());
-        for (size_t k = 0; k < indices.size(); k++)
-            pos[indices[k]] = k;
-
-        std::vector<int> group;
-        group.reserve(static_cast<size_t>(_width));
-        std::vector<PairHash> group_keys;
-        group_keys.reserve(static_cast<size_t>(_width));
-        const auto flushGroup = [&]() {
-            if (group.empty())
-                return;
-            Item item;
-            if (group.size() > 1) {
-                using Lane = typename sim::LaneAligner<K>::LanePair;
-                std::vector<Lane> lanes(group.size());
-                for (size_t m = 0; m < group.size(); m++) {
-                    const auto &job =
-                        jobs[static_cast<size_t>(group[m])];
-                    lanes[m] = Lane{&job.query, &job.reference};
-                }
-                item.kind = Kind::Group;
-                item.states = _lanes.fillLanes(lanes);
-                item.ks.reserve(group.size());
-                for (const int g : group)
-                    item.ks.push_back(pos[g]);
-                item.keys = group_keys;
-            } else {
-                const auto &job =
-                    jobs[static_cast<size_t>(group[0])];
-                const bool intra = _intraPairSimd &&
-                    std::min(job.query.length(),
-                             job.reference.length()) >= _intraPairMinLen;
-                if (!intra && this->_engine.supportsStagedFill()) {
-                    item.kind = Kind::SingleFill;
-                    item.k = pos[group[0]];
-                    item.key = group_keys[0];
-                    item.fill = this->_engine.fillStage(job.query,
-                                                        job.reference);
-                } else {
-                    auto &engine = intra ? _diagEngine : this->_engine;
-                    Result res =
-                        engine.align(job.query, job.reference);
-                    const uint64_t ec = engine.lastTotalCycles();
-                    if (this->cacheEnabled())
-                        this->_cache->insert(group_keys[0], res, ec);
-                    item.kind = Kind::Ready;
-                    item.k = pos[group[0]];
-                    item.resCycles = ec + this->_hostOverhead;
-                    item.res = std::move(res);
-                }
-            }
-            fifo.push(std::move(item));
-            group.clear();
-            group_keys.clear();
-        };
-
-        bool yielded = false;
-        for (const int idx : order) {
-            if (ctl.shouldYield()) {
-                yielded = true;
-                break;
-            }
-            const auto &job = jobs[static_cast<size_t>(idx)];
-            PairHash key;
-            if (this->cacheEnabled()) {
-                key = pairHash(job.query, job.reference, this->_params,
-                               this->_cfgSalt);
-                if (auto hit = this->_cache->lookup(key)) {
-                    Item item;
-                    item.kind = Kind::Ready;
-                    item.k = pos[idx];
-                    item.res = std::move(hit->result);
-                    item.resCycles = hit->cycles + this->_hostOverhead;
-                    fifo.push(std::move(item));
-                    continue;
-                }
-            }
-            group.push_back(idx);
-            group_keys.push_back(key);
-            if (static_cast<int>(group.size()) >= _width)
-                flushGroup();
-        }
-        // On yield, the partially-formed group never started: its jobs
-        // stay not-done and re-queue with the remainder.
-        if (!yielded)
-            flushGroup();
-        fifo.close();
-        consumer.join();
-
-        std::vector<int> completed;
-        completed.reserve(indices.size());
-        for (size_t k = 0; k < indices.size(); k++) {
-            if (ctl.done[k])
-                completed.push_back(indices[k]);
-        }
-        this->arbitrate(completed, cycles, acct);
-    }
-
-  protected:
-    void
-    computeResults(const std::vector<Job> &jobs,
-                   const std::vector<int> &indices, Result *results,
-                   uint64_t *cycles) override
-    {
-        // Length-aware grouping (sorting only reorders the compute; the
-        // arbiter still runs in shard order, and per-lane results and
-        // analytic cycle stats are grouping-independent, so everything
-        // observable stays bit-identical).
-        std::vector<int> order(indices);
-        if (_sortByLength && order.size() > 1) {
-            std::sort(order.begin(), order.end(), [&](int a, int b) {
-                const auto &ja = jobs[static_cast<size_t>(a)];
-                const auto &jb = jobs[static_cast<size_t>(b)];
-                return std::make_tuple(ja.query.length(),
-                                       ja.reference.length(), a) <
-                       std::make_tuple(jb.query.length(),
-                                       jb.reference.length(), b);
-            });
-        }
-
-        std::vector<int> group; // job indices awaiting the engine
-        group.reserve(static_cast<size_t>(_width));
-        std::vector<PairHash> group_keys;
-        group_keys.reserve(static_cast<size_t>(_width));
-
-        const auto flushGroup = [&]() {
-            if (group.empty())
-                return;
-            if (group.size() > 1) {
-                using Lane = typename sim::LaneAligner<K>::LanePair;
-                std::vector<Lane> lanes(group.size());
-                for (size_t m = 0; m < group.size(); m++) {
-                    const auto &job =
-                        jobs[static_cast<size_t>(group[m])];
-                    lanes[m] = Lane{&job.query, &job.reference};
-                }
-                auto lane_results = _lanes.alignLanes(lanes);
-                for (size_t m = 0; m < group.size(); m++) {
-                    this->finishJob(
-                        group_keys[m], group[m],
-                        std::move(lane_results[m]),
-                        _lanes.laneTotalCycles(static_cast<int>(m)),
-                        results, cycles);
-                }
-            } else {
-                const auto &job =
-                    jobs[static_cast<size_t>(group[0])];
-                // A group of one means no sibling pairs fill the SIMD
-                // lanes; a long enough pair instead vectorizes along
-                // its own anti-diagonals (results and cycle stats are
-                // bit-identical across paths, so routing is free).
-                const bool intra = _intraPairSimd &&
-                    std::min(job.query.length(),
-                             job.reference.length()) >= _intraPairMinLen;
-                auto &engine = intra ? _diagEngine : this->_engine;
-                Result res = engine.align(job.query, job.reference);
-                this->finishJob(group_keys[0], group[0], std::move(res),
-                                engine.lastTotalCycles(), results,
-                                cycles);
-            }
-            group.clear();
-            group_keys.clear();
-        };
-
-        for (const int idx : order) {
-            const auto &job = jobs[static_cast<size_t>(idx)];
-            PairHash key;
-            if (this->cacheEnabled()) {
-                key = pairHash(job.query, job.reference, this->_params,
-                               this->_cfgSalt);
-                if (this->lookupCached(key, idx, results, cycles))
-                    continue;
-            }
-            group.push_back(idx);
-            group_keys.push_back(key);
-            if (static_cast<int>(group.size()) >= _width)
-                flushGroup();
-        }
-        flushGroup();
-    }
-
-  private:
-    static sim::EngineConfig
-    diagConfig(sim::EngineConfig ecfg)
-    {
-        ecfg.path = sim::EnginePath::DiagSimd;
-        ecfg.trace = nullptr; // DiagSimd has no schedule observability
-        return ecfg;
-    }
-
-    sim::LaneAligner<K> _lanes;
-    sim::SystolicAligner<K> _diagEngine;
     int _width;
     bool _sortByLength;
     bool _intraPairSimd;
@@ -911,8 +562,10 @@ class CpuBaselineBackend : public AlignBackend<K>
 
     void
     run(const std::vector<Job> &jobs, const std::vector<int> &indices,
-        Result *results, uint64_t *cycles, ChannelStats &acct) override
+        Result *results, uint64_t *cycles, ChannelStats &acct,
+        StageRunControl &ctl) override
     {
+        ctl.done.assign(indices.size(), 1); // never yields mid-shard
         const int n = static_cast<int>(indices.size());
         parallelFor(n, std::min(_threads, std::max(1, n)), [&](int k) {
             const int idx = indices[static_cast<size_t>(k)];
@@ -1045,8 +698,10 @@ class GpuModelBackend : public AlignBackend<K>
 
     void
     run(const std::vector<Job> &jobs, const std::vector<int> &indices,
-        Result *results, uint64_t *cycles, ChannelStats &acct) override
+        Result *results, uint64_t *cycles, ChannelStats &acct,
+        StageRunControl &ctl) override
     {
+        ctl.done.assign(indices.size(), 1); // never yields mid-shard
         // Functional pass on host threads (the model has no GPU to run
         // on); accounting below is purely analytic.
         const int n = static_cast<int>(indices.size());

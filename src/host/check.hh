@@ -5,9 +5,8 @@
  *
  * The host layer's correctness rests on invariants the example-based
  * tests can only sample — accounting closure (alignments + cancelled
- * == jobs, per-backend sections summing to epoch totals), the
- * BoundedFifo state machine, and a deadlock-free lock acquisition
- * order. This header turns those invariants into executable assertions:
+ * == jobs, per-backend sections summing to epoch totals) and a
+ * deadlock-free lock acquisition order. This header turns those invariants into executable assertions:
  *
  *  - DPHLS_CHECK(cond, msg...) aborts with a diagnostic in every build
  *    type. Use it for contract violations that must never ship.

@@ -6,22 +6,6 @@
 
 namespace dphls::host {
 
-StageWorker::StageWorker(std::function<void()> fn)
-    : _thread(std::move(fn))
-{}
-
-StageWorker::~StageWorker()
-{
-    join();
-}
-
-void
-StageWorker::join()
-{
-    if (_thread.joinable())
-        _thread.join();
-}
-
 ThreadPool::ThreadPool(int threads, int aging_every)
     : _agingEvery(std::max(0, aging_every))
 {

@@ -41,11 +41,11 @@ namespace dphls::host {
 /**
  * Cooperative preemption flag for an in-flight shard.
  *
- * The dispatcher registers one token per running staged shard; a
- * higher-priority enqueue request()s it, and the shard's producer loop
- * polls requested() at stage / lane-group boundaries, yielding the slot
- * with the remainder re-queued. Purely advisory: a backend that never
- * polls simply runs to completion (the monolithic behavior).
+ * The dispatcher registers one token per shard running on a device
+ * channel; a higher-priority enqueue request()s it, and the channel's
+ * shard loop polls requested() between jobs, yielding the slot with the
+ * remainder re-queued. Purely advisory: a backend that never polls
+ * simply runs to completion.
  */
 class PreemptToken
 {
@@ -60,28 +60,6 @@ class PreemptToken
 
   private:
     std::atomic<bool> _requested{false};
-};
-
-/**
- * The consumer half of a staged shard: one dedicated thread draining
- * the inter-stage FIFO. Joined on destruction, so a backend can hold it
- * on the stack next to the FIFO it drains — close the FIFO, then let
- * scope end.
- */
-class StageWorker
-{
-  public:
-    explicit StageWorker(std::function<void()> fn);
-    ~StageWorker();
-
-    StageWorker(const StageWorker &) = delete;
-    StageWorker &operator=(const StageWorker &) = delete;
-
-    /** Block until the drain function returns (idempotent). */
-    void join();
-
-  private:
-    std::thread _thread;
 };
 
 /** Scheduling attributes of one pool task. */

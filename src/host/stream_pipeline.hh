@@ -3,9 +3,8 @@
  * Streaming multi-backend host executor with priority scheduling.
  *
  * The paper's host programs (front-end step 6) keep the device's NK
- * independent channels saturated. StreamPipeline generalizes the old
- * barrier-epoch BatchPipeline into a streaming executor over pluggable
- * AlignBackends (host/backend.hh):
+ * independent channels saturated. StreamPipeline is a streaming
+ * executor over pluggable AlignBackends (host/backend.hh):
  *
  *  - submit() returns a per-batch **ticket**; batches complete
  *    independently (no global barrier), completion callbacks fire as
@@ -13,8 +12,7 @@
  *    ticket at a time so hosts can pipeline parse -> align -> writeback.
  *  - Accounting is **per ticket**: every ticket carries its own channel
  *    and backend statistics, finalized at completion, so a submit()
- *    overlapping a drain() can no longer race the epoch accounting (the
- *    documented BatchPipeline restriction is gone).
+ *    overlapping a drain() cannot race the epoch accounting.
  *  - A **dispatch policy** routes each job to a backend. The Threshold
  *    policy is the shape rule: jobs the device cannot take (sequences
  *    over MAX_*_LENGTH) or should not take (pairs below a configurable
@@ -43,10 +41,14 @@
  *    ::deadlineMisses) and summed into BatchStats::deadlineMisses.
  *  - Tickets can be **cancelled**: queued shards are dropped (and
  *    accounted per backend as ChannelStats::cancelled), in-flight
- *    shards run to completion, and the ticket still completes — wait()
- *    returns, the completion callback fires once, and results() holds a
- *    partial result set (BatchTicket::completed() says which jobs ran;
- *    the rest hold default-constructed results and zero cycles).
+ *    device-channel shards stop starting jobs at their next lane-group
+ *    boundary, and the ticket still completes — wait() returns, the
+ *    completion callback fires once, and results() holds a partial
+ *    result set (BatchTicket::completed() says which jobs ran; the rest
+ *    hold default-constructed results and zero cycles).
+ *  - With BatchConfig::preemption, a strictly-higher-priority arrival
+ *    asks the shard running on its device channel to yield at the next
+ *    lane-group boundary; the unstarted jobs re-queue in place.
  *  - Host worker **threads are decoupled from NK**: with the lane
  *    engine one thread can saturate several modeled channels, so
  *    BatchConfig::threads sizes the pool independently (0 = one thread
@@ -59,13 +61,11 @@
  * resume() releases them in scheduling order — letting hosts (and the
  * benches) batch a backlog and observe a deterministic dispatch order.
  *
- * drain() remains as a compatibility wrapper that waits for every
- * outstanding ticket and aggregates in submission order; BatchPipeline
- * (host/batch_pipeline.hh) is now an alias of this class. For a single
- * batch, results, CIGARs and per-job device cycles are bit-identical to
- * the old pipeline (enforced by tests/test_stream_pipeline.cc), and the
- * priority machinery is transparent when unused (enforced by
- * tests/test_scheduler_torture.cc).
+ * drain() waits for every outstanding ticket and aggregates in
+ * submission order. The ticket path is bit-identical — results, CIGARs
+ * and per-job device cycles — to blocking runAll() (enforced by
+ * tests/test_stream_pipeline.cc), and the priority machinery is
+ * transparent when unused (enforced by tests/test_scheduler_torture.cc).
  *
  * Multi-batch epoch accounting sums each channel's per-ticket arbiter
  * makespans (batches synchronize at batch boundaries); for one batch
@@ -211,8 +211,9 @@ struct BatchConfig
      * (EnginePath::DiagSimd) when a lane group of one has both lengths
      * >= intraPairSimdMinLen: at low batch occupancy there are no
      * sibling pairs to fill the SIMD lanes, so long pairs recover the
-     * throughput intra-pair instead. Results and cycle accounting are
-     * bit-identical either way. Ignored when laneWidth == 1.
+     * throughput intra-pair instead (with laneWidth == 1 every job is
+     * a group of one). Results and cycle accounting are bit-identical
+     * either way.
      */
     bool intraPairSimd = false;
     /** Minimum min(qlen, rlen) for the intra-pair SIMD path. */
@@ -266,28 +267,12 @@ struct BatchConfig
      */
     int agingEvery = 0;
     /**
-     * Stage-pipelined shard execution: split each device shard into a
-     * fill producer and a traceback/writeback consumer connected by a
-     * bounded FIFO, so the traceback of job i overlaps the fill of
-     * job i+1 on the same channel. Results, per-job cycles and epoch
-     * accounting are bit-identical to the monolithic path (the cycle
-     * domain is analytic, so execution overlap cannot change it);
-     * only host wall-clock improves on traceback-heavy workloads.
-     */
-    bool stagePipeline = false;
-    /**
-     * Fill -> traceback FIFO capacity (clamped to >= 1). Capacity 1
-     * degenerates to lockstep stage hand-off; larger values let a
-     * fast fill run ahead of a slow traceback.
-     */
-    int stageFifoDepth = 4;
-    /**
-     * Let a strictly-higher-priority submission interrupt an
-     * in-flight staged shard at its next stage boundary: the shard
-     * yields its slot, the jobs whose stages had not started re-queue
-     * as a same-sequence remainder shard, and the yield is counted in
-     * ChannelStats::preemptions. Requires stagePipeline. When no
-     * preemption fires the output is bit-identical to preemption off.
+     * Let a strictly-higher-priority submission interrupt the shard
+     * running on a device channel at its next lane-group boundary: the
+     * shard yields its slot, the jobs that had not started re-queue as
+     * a same-sequence remainder shard, and the yield is counted in
+     * ChannelStats::preemptions. When no preemption fires the output is
+     * bit-identical to preemption off.
      */
     bool preemption = false;
 };
@@ -302,7 +287,7 @@ struct BackendStats
     int alignments = 0;
     int cancelled = 0;       //!< jobs dropped from this backend's queue
     int deadlineMisses = 0;  //!< jobs completed past their deadline
-    int preemptions = 0;     //!< staged shards that yielded mid-flight
+    int preemptions = 0;     //!< shards that yielded mid-flight
     double seconds = 0;      //!< busyCycles / clockMhz
 };
 
@@ -324,7 +309,7 @@ struct BatchStats
     int alignments = 0;          //!< jobs that actually ran
     int cancelled = 0;           //!< jobs dropped by a ticket cancel()
     int deadlineMisses = 0;      //!< jobs completed past their deadline
-    int preemptions = 0;         //!< staged shards that yielded mid-flight
+    int preemptions = 0;         //!< shards that yielded mid-flight
     double seconds = 0;          //!< slowest backend section's wall time
     double alignsPerSec = 0;
     double cyclesPerAlign = 0;
@@ -512,7 +497,7 @@ class DispatchCore
         /** Pops so far (aging phase); guarded by mutex. */
         uint64_t pops = 0;
         /**
-         * Preemption target: token of the staged shard occupying the
+         * Preemption target: token of the shard occupying the device
          * slot (null while idle, or when preemption is disabled);
          * guarded by mutex. The token outlives its registration — it
          * lives on the running worker's stack and is deregistered
@@ -580,7 +565,7 @@ class DispatchCore
      * Drop every queued shard of @p ticket, accounting the dropped jobs
      * as cancelled on the backend they were queued for and retiring
      * their shards (the last retire completes the ticket). In-flight
-     * shards are untouched and run to completion.
+     * shards see the ticket's flag at their own next boundary.
      */
     void dropTicket(BatchTicket<K> &ticket);
 
@@ -647,8 +632,10 @@ class BatchTicket
 
     /**
      * Request cancellation: shards still queued are dropped immediately
-     * and accounted as cancelled on their backend; shards already
-     * running finish normally. When the drop retires the ticket's last
+     * and accounted as cancelled on their backend; a device-channel
+     * shard already running stops at its next lane-group boundary (its
+     * unstarted jobs count as cancelled), and CPU/GPU shards finish
+     * normally. When the drop retires the ticket's last
      * outstanding shard, its completion callback runs synchronously on
      * the cancelling thread. Returns false when the ticket had already
      * completed (nothing to cancel), true otherwise — including repeat
@@ -836,7 +823,6 @@ class StreamPipeline
         _cfg.nb = std::max(1, _cfg.nb);
         _cfg.threads = poolThreads(cfg);
         _cfg.agingEvery = std::max(0, _cfg.agingEvery);
-        _cfg.stageFifoDepth = std::max(1, _cfg.stageFifoDepth);
         _cfg.laneWidth = std::clamp(_cfg.laneWidth, 1,
                                     sim::LaneAligner<K>::maxLanes);
         _core = std::make_shared<detail::DispatchCore<K>>(
@@ -859,19 +845,11 @@ class StreamPipeline
         _resolvedTier = sim::resolveIsaTier(_cfg.isaTier);
         _channels.reserve(static_cast<size_t>(_cfg.nk));
         for (int c = 0; c < _cfg.nk; c++) {
-            if (_cfg.laneWidth > 1) {
-                _channels.push_back(
-                    std::make_unique<LaneChannelBackend<K>>(
-                        ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
-                        _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
-                        _cfg.sortLanesByLength, _cfg.intraPairSimd,
-                        _cfg.intraPairSimdMinLen));
-            } else {
-                _channels.push_back(
-                    std::make_unique<DeviceChannelBackend<K>>(
-                        ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
-                        _cfg.fmaxMhz, &_cache));
-            }
+            _channels.push_back(std::make_unique<ChannelBackend<K>>(
+                ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
+                _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
+                _cfg.sortLanesByLength, _cfg.intraPairSimd,
+                _cfg.intraPairSimdMinLen));
         }
         if (_cfg.cpuFallback) {
             const int cpu_threads = _cfg.cpuThreads > 0 ? _cfg.cpuThreads
@@ -1054,12 +1032,12 @@ class StreamPipeline
 
     /**
      * Admission view: modeled completion time (seconds from now) of
-     * routing @p jobs onto the current backlog — the cost-model
-     * routing's worst slot, i.e. each used slot's live queued-seconds
-     * signal plus the work this batch would add to it. Deadline-aware
-     * admission control (serve/admission.hh) rejects a ticket at
-     * submit when this estimate already exceeds its deadline budget,
-     * instead of counting a miss after the fact. Throws
+     * routing @p jobs onto the current backlog with the configured
+     * dispatch policy — the routing's worst slot, i.e. each used slot's
+     * live queued-seconds signal plus the work this batch would add to
+     * it. Deadline-aware admission control (serve/admission.hh) rejects
+     * a ticket at submit when this estimate already exceeds its
+     * deadline budget, instead of counting a miss after the fact. Throws
      * std::invalid_argument (like submit()) when some job no enabled
      * backend can take. The estimate is advisory: it reads the live
      * backlog counters racily and does not reserve capacity — two
@@ -1069,7 +1047,7 @@ class StreamPipeline
     double
     estimateCompletionSeconds(const std::vector<Job> &jobs) const
     {
-        const Routing r = routeCostModel(jobs, TicketOptions{});
+        const Routing r = route(jobs, TicketOptions{});
         double worst = 0;
         for (int c = 0; c < _cfg.nk; c++) {
             if (!r.shards[static_cast<size_t>(c)].empty())
@@ -1107,7 +1085,7 @@ class StreamPipeline
     AdmissionReservation
     reserveCompletion(const std::vector<Job> &jobs)
     {
-        const Routing r = routeCostModel(jobs, TicketOptions{});
+        const Routing r = route(jobs, TicketOptions{});
         std::vector<std::pair<int, double>> booked;
         auto book = [&](int s, double est, bool used) {
             if (!used)
@@ -1440,6 +1418,19 @@ class StreamPipeline
         return r;
     }
 
+    /**
+     * Route @p jobs with the configured dispatch policy: the one
+     * routing that submission and both admission estimators share, so
+     * an estimate always describes the slots the ticket lands on.
+     */
+    Routing
+    route(const std::vector<Job> &jobs, const TicketOptions &options) const
+    {
+        return _cfg.dispatch == DispatchPolicy::CostModel
+                   ? routeCostModel(jobs, options)
+                   : routeThreshold(jobs);
+    }
+
     void
     enqueue(const Ticket &ticket)
     {
@@ -1450,9 +1441,7 @@ class StreamPipeline
         // Route first: an undispatchable job throws here, before the
         // ticket is registered, so a failed submit leaves the pipeline
         // with nothing outstanding.
-        Routing routing = _cfg.dispatch == DispatchPolicy::CostModel
-                              ? routeCostModel(jobs, opt)
-                              : routeThreshold(jobs);
+        Routing routing = route(jobs, opt);
 
         ticket->_core = _core;
         ticket->_results.resize(static_cast<size_t>(n));
@@ -1503,8 +1492,8 @@ class StreamPipeline
                 std::lock_guard lock(_core->slot(slot).mutex);
                 auto &sl = _core->slot(slot);
                 sl.queue.insert(std::move(entry));
-                // A strictly-higher-priority arrival asks the staged
-                // shard occupying the slot to yield at its next stage
+                // A strictly-higher-priority arrival asks the shard
+                // occupying the slot to yield at its next lane-group
                 // boundary (pointless while paused: nothing would
                 // start in its place).
                 if (_cfg.preemption && sl.runningToken != nullptr &&
@@ -1585,10 +1574,18 @@ class StreamPipeline
         }
     }
 
-    /** Execute one popped shard on slot @p s, then chain the pump. */
+    /**
+     * Execute one popped shard on slot @p s, then chain the pump. A
+     * device channel may stop early at a lane-group boundary: on
+     * preemption the unstarted jobs re-queue as a remainder shard with
+     * the same submission sequence (the ticket stays pending across
+     * resumptions); on cancellation they are accounted as cancelled
+     * and the shard retires.
+     */
     void
     runShard(int s, ShardEntry &entry)
     {
+        using Clock = typename Core::Clock;
         BatchTicket<K> &ticket = *entry.ticket;
         AlignBackend<K> *backend;
         if (s < _cfg.nk)
@@ -1599,86 +1596,40 @@ class StreamPipeline
             backend = _gpu.get();
         ChannelStats &acct = _core->acctFor(ticket, s);
 
-        if (_cfg.stagePipeline && backend->supportsStagedRun()) {
-            runShardStaged(s, entry, *backend, acct);
-            return;
-        }
-
-        backend->run(ticket.jobs(), entry.indices,
-                     ticket._results.data(), ticket._cycles.data(), acct);
-        for (const int idx : entry.indices)
-            ticket._completed[static_cast<size_t>(idx)] = 1;
-        if (entry.deadline !=
-                detail::DispatchCore<K>::Clock::time_point::max() &&
-            detail::DispatchCore<K>::Clock::now() > entry.deadline) {
-            acct.deadlineMisses += static_cast<int>(entry.indices.size());
-        }
-        _core->noteCompleted(s, entry.estSeconds);
-
-        // Free the slot before the (possibly slow) path-stats merge and
-        // completion callback, so the next shard overlaps them.
-        {
-            std::lock_guard lock(_core->slot(s).mutex);
-            _core->slot(s).busy--;
-        }
-        pump(s);
-
-        collectPaths(ticket, entry.indices);
-        _core->finishShard(ticket);
-    }
-
-    /**
-     * Staged variant of runShard(): the backend overlaps fill and
-     * traceback internally and may stop early at a stage boundary —
-     * on preemption the unstarted jobs re-queue as a remainder shard
-     * with the same submission sequence (the ticket stays pending
-     * across resumptions); on cancellation they are accounted as
-     * cancelled and the shard retires.
-     */
-    void
-    runShardStaged(int s, ShardEntry &entry, AlignBackend<K> &backend,
-                   ChannelStats &acct)
-    {
-        BatchTicket<K> &ticket = *entry.ticket;
+        // Only device channels are preemptible: a CPU/GPU slot runs
+        // several shards at once, so it has no single running shard.
+        const bool preemptible = _cfg.preemption && s < _cfg.nk;
         PreemptToken token;
-        if (_cfg.preemption) {
+        if (preemptible) {
             std::lock_guard lock(_core->slot(s).mutex);
             _core->slot(s).runningToken = &token;
             _core->slot(s).runningPriority = entry.priority;
         }
         StageRunControl ctl;
-        ctl.preempt = _cfg.preemption ? &token : nullptr;
+        ctl.preempt = preemptible ? &token : nullptr;
         ctl.cancelled = &ticket._cancelled;
-        ctl.fifoDepth = _cfg.stageFifoDepth;
-        ctl.done.assign(entry.indices.size(), 0);
 
-        backend.runStaged(ticket.jobs(), entry.indices,
-                          ticket._results.data(), ticket._cycles.data(),
-                          acct, ctl);
+        backend->run(ticket.jobs(), entry.indices, ticket._results.data(),
+                     ticket._cycles.data(), acct, ctl);
 
-        if (_cfg.preemption) {
+        if (preemptible) {
             std::lock_guard lock(_core->slot(s).mutex);
             _core->slot(s).runningToken = nullptr;
             _core->slot(s).runningPriority = 0;
         }
 
-        // Partition by writeback outcome (grouping backends may finish
-        // out of submission order, so this is not a prefix split).
-        std::vector<int> completed, remainder;
-        completed.reserve(entry.indices.size());
+        std::vector<int> remainder;
         for (size_t k = 0; k < entry.indices.size(); k++) {
+            const int idx = entry.indices[k];
             if (ctl.done[k])
-                completed.push_back(entry.indices[k]);
+                ticket._completed[static_cast<size_t>(idx)] = 1;
             else
-                remainder.push_back(entry.indices[k]);
+                remainder.push_back(idx);
         }
-        for (const int idx : completed)
-            ticket._completed[static_cast<size_t>(idx)] = 1;
-        if (!completed.empty() &&
-            entry.deadline !=
-                detail::DispatchCore<K>::Clock::time_point::max() &&
-            detail::DispatchCore<K>::Clock::now() > entry.deadline) {
-            acct.deadlineMisses += static_cast<int>(completed.size());
+        const size_t n_done = entry.indices.size() - remainder.size();
+        if (n_done > 0 && entry.deadline != Clock::time_point::max() &&
+            Clock::now() > entry.deadline) {
+            acct.deadlineMisses += static_cast<int>(n_done);
         }
 
         const bool requeue = ctl.preempted && !remainder.empty() &&
@@ -1687,10 +1638,9 @@ class StreamPipeline
             // Split the backlog estimate across the resumptions in
             // proportion to the work done, so the queued-seconds
             // signal stays truthful while the remainder waits.
-            const double frac =
-                static_cast<double>(completed.size()) /
+            const double est_done =
+                entry.estSeconds * static_cast<double>(n_done) /
                 static_cast<double>(entry.indices.size());
-            const double est_done = entry.estSeconds * frac;
             _core->noteCompleted(s, est_done);
             acct.preemptions++;
             ShardEntry rest;
@@ -1708,34 +1658,38 @@ class StreamPipeline
             // pump's cancelled-entry discard retires the shard either
             // way, exactly once.
         } else {
-            if (!remainder.empty())
-                acct.cancelled += static_cast<int>(remainder.size());
+            acct.cancelled += static_cast<int>(remainder.size());
             _core->noteCompleted(s, entry.estSeconds);
         }
 
+        // Free the slot before the (possibly slow) path-stats merge and
+        // completion callback, so the next shard overlaps them.
         {
             std::lock_guard lock(_core->slot(s).mutex);
             _core->slot(s).busy--;
         }
         pump(s);
 
-        collectPaths(ticket, completed);
+        collectPaths(ticket, entry.indices, ctl.done);
         if (!requeue)
             _core->finishShard(ticket);
     }
 
+    /** Merge the path stats of the jobs of @p indices marked @p done. */
     void
-    collectPaths(BatchTicket<K> &ticket, const std::vector<int> &indices)
+    collectPaths(BatchTicket<K> &ticket, const std::vector<int> &indices,
+                 const std::vector<uint8_t> &done)
     {
         if (!_cfg.collectPathStats)
             return;
         core::AlignmentStats local;
         const auto &jobs = ticket.jobs();
-        for (const int idx : indices) {
-            const auto &res = ticket._results[static_cast<size_t>(idx)];
-            if (res.ops.empty())
+        for (size_t k = 0; k < indices.size(); k++) {
+            const size_t idx = static_cast<size_t>(indices[k]);
+            const auto &res = ticket._results[idx];
+            if (!done[k] || res.ops.empty())
                 continue;
-            const auto &job = jobs[static_cast<size_t>(idx)];
+            const auto &job = jobs[idx];
             mergePathStats(local,
                            core::computeStats(job.query, job.reference,
                                               res.ops, res.start));

@@ -42,12 +42,12 @@ struct TilingConfig
     bool intraPairSimd = false;
     /**
      * Cooperative preemption flag polled between tiles (null = run to
-     * completion). A tiled long read cannot overlap its stages — tile
-     * t's committed traceback determines tile t+1's origin — so the
-     * tile boundary is its only scheduling point: when the token is
-     * requested, tiledAlign stops before the next tile and reports
-     * the committed resume origin. At least one tile always runs, so
-     * a resume loop is guaranteed progress.
+     * completion). Tile t's committed traceback determines tile
+     * t+1's origin, so the tile boundary is a tiled long read's only
+     * scheduling point: when the token is requested, tiledAlign stops
+     * before the next tile and reports the committed resume origin. At
+     * least one tile always runs, so a resume loop is guaranteed
+     * progress.
      */
     const PreemptToken *preempt = nullptr;
 };

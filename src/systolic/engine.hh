@@ -35,7 +35,6 @@
 #ifndef DPHLS_SYSTOLIC_ENGINE_HH
 #define DPHLS_SYSTOLIC_ENGINE_HH
 
-#include <mutex>
 #include <stdexcept>
 
 #include "systolic/diag_path.hh"
@@ -119,85 +118,12 @@ class SystolicAligner
         }
     }
 
-    /**
-     * True when align() would run the fast path, whose DP fill and
-     * traceback can execute as separate pipeline stages.
-     */
-    bool
-    supportsStagedFill() const
-    {
-        return activePath() == EnginePath::Fast;
-    }
-
-    /**
-     * Fill stage of one pair. The returned state owns the traceback
-     * bank, so tracebackStage() may run on another thread while this
-     * engine fills the next pair. Does not touch lastStats(): staged
-     * callers read cycles out of the state's CycleStats instead.
-     */
-    FastFillState<K>
-    fillStage(const seq::Sequence<CharT> &query,
-              const seq::Sequence<CharT> &reference)
-    {
-        if (query.length() > _cfg.maxQueryLength)
-            throw std::invalid_argument("query exceeds MAX_QUERY_LENGTH");
-        if (reference.length() > _cfg.maxReferenceLength)
-            throw std::invalid_argument(
-                "reference exceeds MAX_REFERENCE_LENGTH");
-        // fastFill moves the workspace bank into the returned state, so
-        // a staged run would otherwise allocate (and first-touch fault)
-        // a fresh bank per pair; reclaim the consumer's recycled one.
-        if (_fastWs.tb.capacity() == 0 ||
-            _fastWs.rowBase.capacity() == 0) {
-            std::lock_guard lock(_spareMutex);
-            if (_fastWs.tb.capacity() == 0)
-                _fastWs.tb = std::move(_spareTb);
-            if (_fastWs.rowBase.capacity() == 0)
-                _fastWs.rowBase = std::move(_spareRowBase);
-        }
-        FastFillState<K> st;
-        fastFill<K>(_cfg, _params, query, reference, _fastWs, st);
-        return st;
-    }
-
-    /**
-     * Traceback stage over a fill state. Reads only the immutable
-     * config/params, so it is safe to call concurrently with
-     * fillStage() on this same engine (the staged-shard consumer).
-     */
-    Result
-    tracebackStage(FastFillState<K> &st) const
-    {
-        return fastTraceback<K>(_cfg, _params, st);
-    }
-
-    /**
-     * Hand a finished fill state's buffers back for reuse. The staged
-     * consumer calls this after tracebackStage() so the producer's next
-     * fillStage() reuses the traceback bank instead of paying a fresh
-     * allocation per pair (the monolithic path amortizes the same way
-     * by moving the bank back into the workspace). Keeps the single
-     * largest bank; thread-safe against fillStage() on this engine.
-     */
-    void
-    recycleStage(FastFillState<K> &&st)
-    {
-        std::lock_guard lock(_spareMutex);
-        if (st.tb.capacity() > _spareTb.capacity())
-            _spareTb = std::move(st.tb);
-        if (st.rowBase.capacity() > _spareRowBase.capacity())
-            _spareRowBase = std::move(st.rowBase);
-    }
-
   private:
     EngineConfig _cfg;
     Params _params;
     CycleStats _stats;
     FastWorkspace<K> _fastWs;
     DiagWorkspace<K> _diagWs;
-    std::mutex _spareMutex; //!< guards the recycled-bank pool below
-    std::vector<core::TbPtr> _spareTb;
-    std::vector<int64_t> _spareRowBase;
 };
 
 } // namespace dphls::sim

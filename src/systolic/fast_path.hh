@@ -55,12 +55,11 @@ struct FastWorkspace
 /**
  * Everything the traceback stage needs after the DP fill of one pair.
  *
- * Staged executors move the traceback bank out of the workspace so the
- * traceback of pair i can run on another thread while pair i+1 fills
- * into fresh buffers; `fastAlign` moves the buffers back afterwards to
- * keep the monolithic path's allocation amortization. `stats` holds the
- * load/init + fill components on return from `fastFill`; the traceback
- * stage adds its reduction/traceback/writeback components in place.
+ * The state borrows the workspace's traceback bank; `fastAlign` moves
+ * the buffers back afterwards to keep the allocation amortization.
+ * `stats` holds the load/init + fill components on return from
+ * `fastFill`; the traceback stage adds its reduction/traceback/writeback
+ * components in place.
  */
 template <core::KernelSpec K>
 struct FastFillState

@@ -42,7 +42,6 @@
 
 #include <array>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -60,8 +59,8 @@ namespace dphls::sim {
 
 /**
  * Lockstep multi-pair aligner for kernel @p K. One group of at most
- * `maxLanes` pairs per alignLanes() call; the host (BatchPipeline)
- * forms the groups.
+ * `maxLanes` pairs per alignLanes() call; the host (the pipeline's
+ * ChannelBackend) forms the groups.
  */
 template <core::KernelSpec K>
 class LaneAligner
@@ -79,28 +78,6 @@ class LaneAligner
     {
         const seq::Sequence<CharT> *query = nullptr;
         const seq::Sequence<CharT> *reference = nullptr;
-    };
-
-    /**
-     * Fill output of one native-width sub-group: everything the
-     * per-lane traceback epilogue needs. The state owns the traceback
-     * bank (moved out of the workspace), so laneTraceback() may run on
-     * a consumer thread while this aligner fills the next group —
-     * staged shard execution's lane-group boundary.
-     */
-    struct LaneFillState
-    {
-        int count = 0; //!< lanes actually occupied in this sub-group
-        int packW = 0; //!< pack width the sub-group ran at (tb stride)
-        int maxr = 0;
-        int band = 0;
-        bool keepTb = false;
-        std::array<int, maxLanes> qlen{}, rlen{};
-        std::array<uint8_t, maxLanes> found{};
-        std::array<ScoreT, maxLanes> bestScore{};
-        std::array<int, maxLanes> bestI{}, bestJ{};
-        std::vector<core::TbPtr> tb;
-        std::vector<int64_t> rowBase;
     };
 
     explicit LaneAligner(EngineConfig cfg = {},
@@ -169,45 +146,30 @@ class LaneAligner
         return results;
     }
 
+  private:
     /**
-     * Fill stage of a lane group: the same native-width sub-group split
-     * as alignLanes(), stopping before the per-lane epilogue. Returns
-     * one state per sub-group; feed each lane of each state through
-     * laneTraceback() to obtain the bit-identical result and cycles.
+     * Fill output of one native-width sub-group: everything the
+     * per-lane traceback epilogue needs. The state borrows the
+     * workspace's traceback bank until run() hands it back.
      */
-    std::vector<LaneFillState>
-    fillLanes(const std::vector<LanePair> &lanes)
+    struct LaneFillState
     {
-        const int n = static_cast<int>(lanes.size());
-        if (n == 0)
-            return {};
-        if (n > maxLanes)
-            throw std::invalid_argument("lane group exceeds maxLanes");
-        for (const auto &lp : lanes) {
-            if (lp.query->length() > _cfg.maxQueryLength)
-                throw std::invalid_argument(
-                    "query exceeds MAX_QUERY_LENGTH");
-            if (lp.reference->length() > _cfg.maxReferenceLength)
-                throw std::invalid_argument(
-                    "reference exceeds MAX_REFERENCE_LENGTH");
-        }
-        const size_t native = static_cast<size_t>(isaTierLanes(_tier));
-        std::vector<LaneFillState> states;
-        states.reserve((lanes.size() + native - 1) / native);
-        for (size_t g = 0; g < lanes.size(); g += native) {
-            const size_t count = std::min(native, lanes.size() - g);
-            const std::vector<LanePair> sub(
-                lanes.begin() + static_cast<ptrdiff_t>(g),
-                lanes.begin() + static_cast<ptrdiff_t>(g + count));
-            states.push_back(dispatchFill(sub));
-        }
-        return states;
-    }
+        int count = 0; //!< lanes actually occupied in this sub-group
+        int packW = 0; //!< pack width the sub-group ran at (tb stride)
+        int maxr = 0;
+        int band = 0;
+        bool keepTb = false;
+        std::array<int, maxLanes> qlen{}, rlen{};
+        std::array<uint8_t, maxLanes> found{};
+        std::array<ScoreT, maxLanes> bestScore{};
+        std::array<int, maxLanes> bestI{}, bestJ{};
+        std::vector<core::TbPtr> tb;
+        std::vector<int64_t> rowBase;
+    };
 
     /**
      * Traceback epilogue of one lane of a fill state. Touches no
-     * workspace (only the state's bank and the immutable config), so it
-     * is safe concurrently with fillLanes() on this same aligner.
+     * workspace, only the state's bank and the immutable config.
      */
     Result
     laneTraceback(const LaneFillState &st, int lane,
@@ -235,26 +197,6 @@ class LaneAligner
                                st.keepTb, fetch, stats);
     }
 
-    /**
-     * Hand a finished group's buffers back for reuse. The staged
-     * consumer calls this after the last laneTraceback() of a state so
-     * the producer's next fillLanes() reuses the traceback bank instead
-     * of paying a fresh allocation (and first-touch faults) per group —
-     * the same amortization the monolithic run() gets by moving the
-     * bank back into the workspace. Keeps the single largest bank;
-     * thread-safe against fillLanes() on this same aligner.
-     */
-    void
-    recycleBank(LaneFillState &&st)
-    {
-        std::lock_guard lock(_spareMutex);
-        if (st.tb.capacity() > _spareTb.capacity())
-            _spareTb = std::move(st.tb);
-        if (st.rowBase.capacity() > _spareRowBase.capacity())
-            _spareRowBase = std::move(st.rowBase);
-    }
-
-  private:
     std::vector<Result>
     dispatch(const std::vector<LanePair> &lanes)
     {
@@ -270,19 +212,7 @@ class LaneAligner
         return run<4>(lanes);
     }
 
-    LaneFillState
-    dispatchFill(const std::vector<LanePair> &lanes)
-    {
-        const int n = static_cast<int>(lanes.size());
-        const int native = isaTierLanes(_tier);
-        if (native >= 16 && n > 8)
-            return fillRun<16>(lanes);
-        if (native >= 8 && n > 4)
-            return fillRun<8>(lanes);
-        return fillRun<4>(lanes);
-    }
-
-    /** Monolithic group run: fill stage + per-lane epilogue in place. */
+    /** Group run: fill stage, then the per-lane epilogue. */
     template <int W>
     std::vector<Result>
     run(const std::vector<LanePair> &lanes)
@@ -327,16 +257,7 @@ class LaneAligner
         // Shared band-compressed traceback bank, [cell][lane]. When
         // traceback is off, every cell's store lands in one scratch
         // slot instead — the lane loop stays branch-free either way
-        // (a conditional store would block vectorization). A staged run
-        // moves the bank out per group; reclaim the consumer's recycled
-        // one before falling back to a fresh allocation.
-        if (_ws.tb.capacity() == 0 || _ws.rowBase.capacity() == 0) {
-            std::lock_guard lock(_spareMutex);
-            if (_ws.tb.capacity() == 0)
-                _ws.tb = std::move(_spareTb);
-            if (_ws.rowBase.capacity() == 0)
-                _ws.rowBase = std::move(_spareRowBase);
-        }
+        // (a conditional store would block vectorization).
         std::vector<core::TbPtr> &tb = _ws.tb;
         tb.clear();
         std::array<core::TbPtr, W> tb_scratch{};
@@ -693,9 +614,6 @@ class LaneAligner
     IsaTier _tier;
     std::vector<CycleStats> _laneStats;
     Workspace _ws;
-    std::mutex _spareMutex; //!< guards the recycled-bank pool below
-    std::vector<core::TbPtr> _spareTb;
-    std::vector<int64_t> _spareRowBase;
 };
 
 } // namespace dphls::sim

@@ -177,3 +177,39 @@ TEST(AdmissionReserve, ConcurrentReserversNeverOverAdmit)
     EXPECT_NEAR(after.estimateSeconds(), e, e * 1e-6 + 1e-9);
     after.release();
 }
+
+TEST(AdmissionReserve, ThresholdEstimateSeesTheSlotTheTicketLandsOn)
+{
+    // Threshold dispatch round-robins each ticket from channel 0, so a
+    // paused backlog of single-pair tickets piles up on channel 0 while
+    // channels 1..3 stay idle. Admission must estimate with the router
+    // the submission actually uses: a 17th pair lands behind the 16.
+    host::BatchConfig cfg = oneChannelConfig();
+    cfg.nk = 4;
+    cfg.dispatch = host::DispatchPolicy::Threshold;
+    Pipeline pipeline(cfg);
+    pipeline.pause();
+    seq::Rng rng(44);
+    const auto pair = someJobs(1, rng);
+    const double e = pipeline.estimateCompletionSeconds(pair);
+    ASSERT_GT(e, 0.0);
+
+    constexpr int kBacklog = 16;
+    std::vector<Pipeline::Ticket> backlog;
+    for (int i = 0; i < kBacklog; i++)
+        backlog.push_back(pipeline.submit(pair));
+
+    // The backlog counters hold whole microseconds per booking.
+    const double want = (kBacklog + 1) * e - (kBacklog + 1) * 0.5e-6;
+    EXPECT_GE(pipeline.estimateCompletionSeconds(pair), want);
+    auto res = pipeline.reserveCompletion(pair);
+    EXPECT_GE(res.estimateSeconds(), want);
+    auto probe = pipeline.submit(pair, host::TicketOptions{}, nullptr,
+                                 std::move(res));
+
+    pipeline.resume();
+    const auto stats = pipeline.collect(probe);
+    EXPECT_EQ(stats.channels[0].alignments, 1); // it really landed there
+    for (auto &t : backlog)
+        EXPECT_EQ(pipeline.collect(t).channels[0].alignments, 1);
+}

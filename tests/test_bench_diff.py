@@ -101,6 +101,21 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("new metric, no baseline", result.stdout)
 
+    def test_disappeared_gated_metric_prints_notice(self):
+        # A reshaped section that loses a hard- or soft-gated key must
+        # say so instead of silently dropping the gate.
+        self.write(self.old, {"stage": {"modeled_aligns_per_sec": 100.0,
+                                        "overlap_speedup": 1.4,
+                                        "p99_ms": 3.0}})
+        self.write(self.new, {"stage": {"p99_ms": 3.0}})
+        result = run_diff(self.old, self.new)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("stage.modeled_aligns_per_sec: 100 -> missing",
+                      result.stdout)
+        self.assertIn("stage.overlap_speedup: 1.4 -> missing",
+                      result.stdout)
+        self.assertNotIn("p99_ms", result.stdout)
+
     def test_new_ungated_metric_is_silent(self):
         self.write(self.old, {"aligns_per_sec": 100.0})
         self.write(self.new, {"aligns_per_sec": 100.0, "p99_ms": 3.0})

@@ -6,7 +6,7 @@
  * CIGARs and cycle statistics — to the scalar wavefront engine. The
  * intra-pair anti-diagonal path (EnginePath::DiagSimd) gets the same
  * treatment on long banded pairs, band-edge shapes and empty inputs,
- * and the LaneChannelBackend's intra-pair routing is diffed end to end
+ * and the ChannelBackend's intra-pair routing is diffed end to end
  * through a StreamPipeline.
  */
 

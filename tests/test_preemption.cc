@@ -1,20 +1,19 @@
 /**
  * @file
- * Stage-pipelined shard dataflow tests.
+ * Preemption and mid-shard cancel tests.
  *
- * The stage pipeline overlaps a shard's traceback with the next job's
- * fill behind a bounded FIFO; because cycle accounting is analytic
- * (trip-count formulas, not execution timing), the staged path must be
- * bit-identical to the monolithic path — results, per-job cycles, and
- * channel accounting — for every registered kernel, at every FIFO
- * depth, with preemption armed or not. Preemption that actually fires
- * may split a shard's arbiter accounting across resumptions (busy
- * cycles are then a sum of per-resumption makespans), but per-job
- * results and cycles must still match the never-preempted run exactly,
- * with no lost or duplicated writebacks. A cancel() landing mid-shard
- * must drop only not-yet-started stages and still close the epoch:
- * alignments + cancelled == jobs, and the completion mask's population
- * count == alignments.
+ * A device channel's shard loop polls its preemption token and the
+ * ticket's cancellation flag before each job. Armed preemption that
+ * never fires must be invisible — results, per-job cycles, and channel
+ * accounting bit-identical to preemption off — for every registered
+ * kernel at lane widths 1 and 4. Preemption that actually fires may
+ * split a shard's arbiter accounting across resumptions (busy cycles
+ * are then a sum of per-resumption makespans), but per-job results and
+ * cycles must still match the never-preempted run exactly, with no lost
+ * or duplicated writebacks. A cancel() landing mid-shard must drop only
+ * not-yet-started jobs and still close the epoch: alignments +
+ * cancelled == jobs, and the completion mask's population count ==
+ * alignments.
  */
 
 #include <gtest/gtest.h>
@@ -109,37 +108,34 @@ baseConfig(int lane_width)
 }
 
 /**
- * The acceptance differential: staged execution (at the given lane
- * width and FIFO depth, optionally with preemption armed but never
- * firing) must be bit-identical to the monolithic path — results,
- * per-job cycles, totals, makespan, and per-channel busy cycles.
+ * The transparency differential: preemption armed (a token registered
+ * on every device shard) but never requested must be bit-identical to
+ * preemption off — results, per-job cycles, totals, makespan, and
+ * per-channel busy cycles.
  */
 template <typename K>
 void
-stagedMatchesMonolithic(int lane_width, int fifo_depth, bool preemption)
+armedMatchesOff(int lane_width)
 {
     using Pipeline = host::StreamPipeline<K>;
     auto jobs = shapedJobs<K>(static_cast<uint64_t>(K::kernelId) * 193 +
                               static_cast<uint64_t>(lane_width));
 
     host::BatchConfig cfg = baseConfig(lane_width);
-    Pipeline mono(cfg);
+    Pipeline off(cfg);
     std::vector<typename Pipeline::Result> want;
     std::vector<uint64_t> want_cycles;
-    const auto want_stats = mono.runAll(jobs, &want, &want_cycles);
+    const auto want_stats = off.runAll(jobs, &want, &want_cycles);
 
-    host::BatchConfig scfg = cfg;
-    scfg.stagePipeline = true;
-    scfg.stageFifoDepth = fifo_depth;
-    scfg.preemption = preemption;
-    Pipeline staged(scfg);
+    host::BatchConfig armed_cfg = cfg;
+    armed_cfg.preemption = true;
+    Pipeline armed(armed_cfg);
     std::vector<typename Pipeline::Result> got;
     std::vector<uint64_t> got_cycles;
-    const auto got_stats = staged.runAll(jobs, &got, &got_cycles);
+    const auto got_stats = armed.runAll(jobs, &got, &got_cycles);
 
-    const std::string what = "staged lanes=" +
-        std::to_string(lane_width) + " fifo=" +
-        std::to_string(fifo_depth) + (preemption ? " preempt" : "");
+    const std::string what =
+        "armed lanes=" + std::to_string(lane_width);
     expectSameOutputs<K>(want, want_cycles, got, got_cycles,
                          what.c_str());
     EXPECT_EQ(want_stats.alignments, got_stats.alignments) << K::name;
@@ -160,53 +156,59 @@ stagedMatchesMonolithic(int lane_width, int fifo_depth, bool preemption)
 
 template <typename K>
 void
-stagedDifferential()
+armedDifferential()
 {
-    stagedMatchesMonolithic<K>(4, 4, false); // lane backend, overlapped
-    stagedMatchesMonolithic<K>(1, 4, false); // scalar channel backend
+    armedMatchesOff<K>(4); // lane groups
+    armedMatchesOff<K>(1); // one job at a time
+}
+
+/** The contended-slot configuration: one channel, one worker. */
+host::BatchConfig
+contendedConfig(int lane_width)
+{
+    host::BatchConfig cfg;
+    cfg.npe = 16;
+    cfg.nb = 2;
+    cfg.nk = 1;
+    cfg.threads = 1;
+    cfg.laneWidth = lane_width;
+    cfg.bandWidth = 16;
+    cfg.maxQueryLength = 256;
+    cfg.maxReferenceLength = 256;
+    cfg.cacheEntries = 0;
+    return cfg;
 }
 
 } // namespace
 
-TEST(StagePipeline, StagedMatchesMonolithicAllKernels)
+TEST(Preemption, ArmedNeverFiredMatchesOffAllKernels)
 {
-    stagedDifferential<kernels::GlobalLinear>();
-    stagedDifferential<kernels::GlobalAffine>();
-    stagedDifferential<kernels::LocalLinear>();
-    stagedDifferential<kernels::LocalAffine>();
-    stagedDifferential<kernels::GlobalTwoPiece>();
-    stagedDifferential<kernels::Overlap>();
-    stagedDifferential<kernels::SemiGlobal>();
-    stagedDifferential<kernels::ProfileAlignment>();
-    stagedDifferential<kernels::Dtw>();
-    stagedDifferential<kernels::Viterbi>();
-    stagedDifferential<kernels::BandedGlobalLinear>();
-    stagedDifferential<kernels::BandedLocalAffine>();
-    stagedDifferential<kernels::BandedGlobalTwoPiece>();
-    stagedDifferential<kernels::Sdtw>();
-    stagedDifferential<kernels::ProteinLocal>();
+    armedDifferential<kernels::GlobalLinear>();
+    armedDifferential<kernels::GlobalAffine>();
+    armedDifferential<kernels::LocalLinear>();
+    armedDifferential<kernels::LocalAffine>();
+    armedDifferential<kernels::GlobalTwoPiece>();
+    armedDifferential<kernels::Overlap>();
+    armedDifferential<kernels::SemiGlobal>();
+    armedDifferential<kernels::ProfileAlignment>();
+    armedDifferential<kernels::Dtw>();
+    armedDifferential<kernels::Viterbi>();
+    armedDifferential<kernels::BandedGlobalLinear>();
+    armedDifferential<kernels::BandedLocalAffine>();
+    armedDifferential<kernels::BandedGlobalTwoPiece>();
+    armedDifferential<kernels::Sdtw>();
+    armedDifferential<kernels::ProteinLocal>();
 }
 
-TEST(StagePipeline, FifoCapacityOneDegeneratesToLockstep)
-{
-    // Depth 1 serializes the stage hand-off (producer blocks on every
-    // push until the consumer drains) — the degenerate schedule must
-    // still be bit-identical.
-    stagedMatchesMonolithic<kernels::GlobalAffine>(4, 1, false);
-    stagedMatchesMonolithic<kernels::BandedLocalAffine>(1, 1, false);
-    stagedMatchesMonolithic<kernels::Dtw>(4, 1, false);
-}
+namespace {
 
-TEST(StagePipeline, ArmedPreemptionThatNeverFiresIsTransparent)
-{
-    // Single-class workload: the token is registered but never
-    // requested, so the armed run must match monolithic bit for bit.
-    stagedMatchesMonolithic<kernels::GlobalLinear>(4, 4, true);
-    stagedMatchesMonolithic<kernels::LocalAffine>(1, 4, true);
-    stagedMatchesMonolithic<kernels::ProteinLocal>(4, 2, true);
-}
-
-TEST(StagePipeline, PreemptedRunIsBitIdenticalToUnpreempted)
+/**
+ * A bulk shard occupies the only channel when a higher-priority ticket
+ * arrives and requests its token; the shard yields at a lane-group
+ * boundary and the remainder resumes after the urgent ticket drains.
+ */
+void
+preemptedMatchesUnpreempted(int lane_width)
 {
     using K = kernels::GlobalLinear;
     using Pipeline = host::StreamPipeline<K>;
@@ -215,17 +217,7 @@ TEST(StagePipeline, PreemptedRunIsBitIdenticalToUnpreempted)
     auto bulk = uniformJobs<K>(2026, n_bulk, 96);
     auto urgent = uniformJobs<K>(7, 4, 64);
 
-    host::BatchConfig cfg;
-    cfg.npe = 16;
-    cfg.nb = 2;
-    cfg.nk = 1; // one channel, one worker: the contended-slot case
-    cfg.threads = 1;
-    cfg.laneWidth = 4;
-    cfg.bandWidth = 16;
-    cfg.maxQueryLength = 256;
-    cfg.maxReferenceLength = 256;
-    cfg.cacheEntries = 0;
-    cfg.stagePipeline = true;
+    host::BatchConfig cfg = contendedConfig(lane_width);
     cfg.preemption = true;
 
     // Golden leg: same config, each batch alone (nothing to preempt).
@@ -237,10 +229,6 @@ TEST(StagePipeline, PreemptedRunIsBitIdenticalToUnpreempted)
         golden.runAll(urgent, &want_urgent, &want_urgent_cycles);
     }
 
-    // Contended leg: the bulk shard occupies the only channel when the
-    // higher-priority ticket arrives, which requests its token; the
-    // shard yields at a stage boundary and the remainder resumes after
-    // the urgent ticket drains.
     Pipeline pipeline(cfg);
     auto t_bulk = pipeline.submit(bulk);
     host::TicketOptions hi;
@@ -274,7 +262,8 @@ TEST(StagePipeline, PreemptedRunIsBitIdenticalToUnpreempted)
     EXPECT_EQ(sec_preempts, bulk_stats.preemptions);
 }
 
-TEST(StagePipeline, ForcedPreemptionFiresAndStaysIdentical)
+void
+forcedPreemptionFires(int lane_width)
 {
     using K = kernels::GlobalAffine;
     using Pipeline = host::StreamPipeline<K>;
@@ -283,17 +272,7 @@ TEST(StagePipeline, ForcedPreemptionFiresAndStaysIdentical)
     auto bulk = uniformJobs<K>(11, n_bulk, 96);
     auto urgent = uniformJobs<K>(13, 2, 64);
 
-    host::BatchConfig cfg;
-    cfg.npe = 16;
-    cfg.nb = 2;
-    cfg.nk = 1;
-    cfg.threads = 1;
-    cfg.laneWidth = 4;
-    cfg.bandWidth = 16;
-    cfg.maxQueryLength = 256;
-    cfg.maxReferenceLength = 256;
-    cfg.cacheEntries = 0;
-    cfg.stagePipeline = true;
+    host::BatchConfig cfg = contendedConfig(lane_width);
     cfg.preemption = true;
 
     std::vector<Pipeline::Result> want_bulk;
@@ -332,31 +311,22 @@ TEST(StagePipeline, ForcedPreemptionFiresAndStaysIdentical)
     }
     EXPECT_TRUE(fired)
         << "no preemption fired in 10 attempts of an 800-job bulk "
-           "shard contended by a priority-10 ticket";
+           "shard contended by a priority-10 ticket, lanes="
+        << lane_width;
 }
 
-TEST(StagePipeline, CancelMidShardDropsUnstartedStagesAndClosesEpoch)
+void
+cancelMidShardClosesEpoch(int lane_width)
 {
     using K = kernels::GlobalLinear;
     using Pipeline = host::StreamPipeline<K>;
 
     const int n = 500;
     auto jobs = uniformJobs<K>(31, n, 96);
-
-    host::BatchConfig cfg;
-    cfg.npe = 16;
-    cfg.nb = 2;
-    cfg.nk = 1;
-    cfg.threads = 1;
-    cfg.laneWidth = 4;
-    cfg.bandWidth = 16;
-    cfg.maxQueryLength = 256;
-    cfg.maxReferenceLength = 256;
-    cfg.cacheEntries = 0;
-    cfg.stagePipeline = true;
+    const host::BatchConfig cfg = contendedConfig(lane_width);
 
     // Every interleaving must close the epoch: cancel before the shard
-    // starts (all jobs cancelled), mid-shard (the staged split), or
+    // starts (all jobs cancelled), mid-shard (a partial split), or
     // after completion (nothing cancelled).
     for (const int spin : {0, 1000, 200000}) {
         Pipeline pipeline(cfg);
@@ -398,12 +368,33 @@ TEST(StagePipeline, CancelMidShardDropsUnstartedStagesAndClosesEpoch)
     }
 }
 
-TEST(StagePipeline, StagedTicketsCoexistWithCpuFallback)
+} // namespace
+
+TEST(Preemption, PreemptedRunIsBitIdenticalToUnpreempted)
 {
-    // Mixed routing: the CPU backend has no staged path (its default
-    // runStaged falls back to run()), so a hetero batch exercises both
-    // the staged device channels and the monolithic fallback in one
-    // ticket. Outputs must match the unstaged hetero pipeline.
+    preemptedMatchesUnpreempted(4);
+    preemptedMatchesUnpreempted(1);
+}
+
+TEST(Preemption, ForcedPreemptionFiresAndStaysIdentical)
+{
+    forcedPreemptionFires(4);
+    forcedPreemptionFires(1);
+}
+
+TEST(Preemption, CancelMidShardDropsUnstartedJobsAndClosesEpoch)
+{
+    cancelMidShardClosesEpoch(4);
+    cancelMidShardClosesEpoch(1);
+}
+
+TEST(Preemption, PreemptibleTicketsCoexistWithCpuFallback)
+{
+    // Mixed routing: the CPU backend never yields mid-shard and its
+    // slot is never preemptible, so a hetero batch exercises both the
+    // preemptible device channels and the run-to-completion fallback in
+    // one ticket. Outputs must match the same pipeline without
+    // preemption.
     using K = kernels::LocalAffine;
     using Pipeline = host::StreamPipeline<K>;
     auto jobs = shapedJobs<K>(401);
@@ -413,22 +404,22 @@ TEST(StagePipeline, StagedTicketsCoexistWithCpuFallback)
     cfg.cpuFloorLen = 8;
     cfg.cpuModeledCellsPerSec = 4e8;
 
-    Pipeline mono(cfg);
+    Pipeline off(cfg);
     std::vector<Pipeline::Result> want;
     std::vector<uint64_t> want_cycles;
-    const auto want_stats = mono.runAll(jobs, &want, &want_cycles);
+    const auto want_stats = off.runAll(jobs, &want, &want_cycles);
 
-    host::BatchConfig scfg = cfg;
-    scfg.stagePipeline = true;
-    scfg.preemption = true;
-    Pipeline staged(scfg);
+    host::BatchConfig armed_cfg = cfg;
+    armed_cfg.preemption = true;
+    Pipeline armed(armed_cfg);
     std::vector<Pipeline::Result> got;
     std::vector<uint64_t> got_cycles;
-    const auto got_stats = staged.runAll(jobs, &got, &got_cycles);
+    const auto got_stats = armed.runAll(jobs, &got, &got_cycles);
 
     expectSameOutputs<K>(want, want_cycles, got, got_cycles,
-                         "hetero staged");
+                         "hetero armed");
     EXPECT_EQ(want_stats.alignments, got_stats.alignments);
     EXPECT_EQ(want_stats.totalCycles, got_stats.totalCycles);
     EXPECT_EQ(want_stats.cpu.alignments, got_stats.cpu.alignments);
+    EXPECT_GT(got_stats.cpu.alignments, 0);
 }

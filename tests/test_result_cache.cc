@@ -1,7 +1,7 @@
 /**
  * @file
  * Result-cache tests: hash stability and sensitivity, LRU behavior of
- * the sharded cache, and end-to-end transparency inside BatchPipeline
+ * the sharded cache, and end-to-end transparency inside StreamPipeline
  * (repeated pairs skip the engine but results and cycle accounting stay
  * bit-identical to an uncached run).
  */
@@ -10,7 +10,7 @@
 
 #include "helpers.hh"
 #include "host/backend.hh"
-#include "host/batch_pipeline.hh"
+#include "host/stream_pipeline.hh"
 #include "host/result_cache.hh"
 #include "kernels/all.hh"
 #include "systolic/engine.hh"
@@ -97,10 +97,9 @@ TEST(ShardedResultCache, CrossConfigBackendsDoNotAlias)
     wide_cfg.bandWidth = 32;
 
     host::ShardedResultCache<Result> cache(64, 2);
-    host::DeviceChannelBackend<K> narrow(narrow_cfg, params, 1, 0, 250.0,
-                                         &cache);
-    host::DeviceChannelBackend<K> wide(wide_cfg, params, 1, 0, 250.0,
-                                       &cache);
+    host::ChannelBackend<K> narrow(narrow_cfg, params, 1, 0, 250.0,
+                                   &cache);
+    host::ChannelBackend<K> wide(wide_cfg, params, 1, 0, 250.0, &cache);
 
     std::vector<host::AlignmentJob<seq::DnaChar>> jobs;
     jobs.push_back({q, r});
@@ -108,8 +107,9 @@ TEST(ShardedResultCache, CrossConfigBackendsDoNotAlias)
     Result narrow_res, wide_res;
     uint64_t narrow_cycles = 0, wide_cycles = 0;
     host::ChannelStats acct;
-    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct);
-    wide.run(jobs, indices, &wide_res, &wide_cycles, acct);
+    host::StageRunControl ctl;
+    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct, ctl);
+    wide.run(jobs, indices, &wide_res, &wide_cycles, acct, ctl);
 
     // Both computed (no cross-config hit), and each matches a fresh
     // uncached engine at its own configuration.
@@ -132,7 +132,7 @@ TEST(ShardedResultCache, CrossConfigBackendsDoNotAlias)
     EXPECT_NE(narrow_want.score, wide_want.score);
 
     // Same-config repeats still hit.
-    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct);
+    narrow.run(jobs, indices, &narrow_res, &narrow_cycles, acct, ctl);
     EXPECT_EQ(cache.counters().hits, 1u);
     EXPECT_EQ(narrow_res.score, narrow_want.score);
 }
@@ -168,11 +168,11 @@ TEST(ShardedResultCache, ZeroCapacityDisables)
     EXPECT_EQ(cache.counters().hits + cache.counters().misses, 0u);
 }
 
-TEST(BatchPipeline, CacheIsResultAndAccountingTransparent)
+TEST(StreamPipeline, CacheIsResultAndAccountingTransparent)
 {
     seq::Rng rng(42);
     using K = kernels::LocalAffine;
-    using Pipeline = host::BatchPipeline<K>;
+    using Pipeline = host::StreamPipeline<K>;
 
     // 8 distinct pairs, each submitted 4 times.
     std::vector<typename Pipeline::Job> jobs;
@@ -217,11 +217,11 @@ TEST(BatchPipeline, CacheIsResultAndAccountingTransparent)
     EXPECT_GE(counters.hits, static_cast<uint64_t>(jobs.size()) - 2 * 8);
 }
 
-TEST(BatchPipeline, CacheComposesWithLanes)
+TEST(StreamPipeline, CacheComposesWithLanes)
 {
     seq::Rng rng(77);
     using K = kernels::GlobalAffine;
-    using Pipeline = host::BatchPipeline<K>;
+    using Pipeline = host::StreamPipeline<K>;
 
     std::vector<typename Pipeline::Job> jobs;
     for (int rep = 0; rep < 3; rep++) {

@@ -4,9 +4,8 @@
  * concurrent submit() from multiple producers, wait() reentrancy
  * (including wait() racing wait()), tasks that submit follow-up tasks,
  * destruction with work still queued, and — at the pipeline level —
- * submissions racing completion waits and drains (the old
- * BatchPipeline's documented accounting race, now fixed by per-ticket
- * accounting).
+ * submissions racing completion waits and drains (per-ticket accounting
+ * keeps a submit() overlapping a drain() out of the epoch race).
  */
 
 #include <gtest/gtest.h>
@@ -200,9 +199,8 @@ stressJobs(int n, uint64_t seed)
 } // namespace
 
 /**
- * The old BatchPipeline documented that a submit() overlapping a
- * drain() races the epoch accounting. Accounting is now per-ticket:
- * producers submit and wait on their own tickets while a consumer
+ * A submit() overlapping a drain() must not race the epoch accounting,
+ * which is per-ticket: producers submit and wait on their own tickets while a consumer
  * thread drains concurrently, and every job must land in exactly one
  * accounting bucket (per-ticket stats observed by producers always
  * cover their whole batch; drained epochs plus the final drain cover

@@ -24,10 +24,10 @@
  * — the priority machinery must be invisible when it has nothing to
  * reorder.
  *
- * The staged round re-runs the randomized interleavings with the
- * stage pipeline and preemption enabled and a chaos preemptor thread
- * submitting top-priority tickets that interrupt in-flight shards at
- * stage boundaries — every invariant above must survive arbitrary
+ * The preemption round re-runs the randomized interleavings with
+ * preemption enabled and a chaos preemptor thread submitting
+ * top-priority tickets that interrupt in-flight shards at lane-group
+ * boundaries — every invariant above must survive arbitrary
  * preempt/resume/cancel interleavings (a preempted shard's remainder
  * re-queues within the same ticket, so ticket- and epoch-level closure
  * are unchanged).
@@ -95,7 +95,7 @@ sumSections(const host::BatchStats &stats)
  */
 template <typename K>
 void
-tortureKernel(uint64_t seed, bool staged = false)
+tortureKernel(uint64_t seed, bool preempt = false)
 {
     using Pipeline = host::StreamPipeline<K>;
     using Ticket = typename Pipeline::Ticket;
@@ -113,9 +113,7 @@ tortureKernel(uint64_t seed, bool staged = false)
     cfg.cpuFloorLen = 6; // some tiny jobs route to the CPU backend
     cfg.cpuModeledCellsPerSec = 1e9;
     cfg.collectPathStats = false;
-    cfg.stagePipeline = staged;
-    cfg.preemption = staged;
-    cfg.stageFifoDepth = 2;
+    cfg.preemption = preempt;
     Pipeline pipeline(cfg);
     Pipeline golden(cfg); // blocking reference runs, same config
 
@@ -132,9 +130,9 @@ tortureKernel(uint64_t seed, bool staged = false)
         threads.emplace_back([&, p] {
             seq::Rng rng(seed + static_cast<uint64_t>(p) * 7919);
             for (int b = 0; b < batches_per_producer; b++) {
-                // Staged rounds submit bigger shards so the chaos
+                // Preemption rounds submit bigger shards so the chaos
                 // preemptor has something in flight to interrupt.
-                const int count = staged
+                const int count = preempt
                     ? 4 + static_cast<int>(rng.below(12))
                     : 1 + static_cast<int>(rng.below(4));
                 auto jobs = tortureJobs<K>(rng, count, 40);
@@ -200,12 +198,12 @@ tortureKernel(uint64_t seed, bool staged = false)
             std::this_thread::yield();
         }
     });
-    // Chaos preemptor (staged rounds): top-priority one-job tickets
+    // Chaos preemptor (preemption rounds): top-priority one-job tickets
     // that land above every producer class, requesting the token of
-    // whatever staged shard holds the slot; waiting each one out keeps
+    // whatever shard holds the slot; waiting each one out keeps
     // the stream paced to the pipeline instead of flooding the queue.
     std::thread preemptor;
-    if (staged) {
+    if (preempt) {
         preemptor = std::thread([&] {
             seq::Rng rng(seed ^ 0x9e37u);
             while (!stop.load()) {
@@ -400,7 +398,7 @@ TEST(SchedulerTorture, RandomizedSubmitCancelWaitAllKernels)
     tortureKernel<kernels::ProteinLocal>(25);
 }
 
-TEST(SchedulerTorture, StagedPreemptInterleavingsAllKernels)
+TEST(SchedulerTorture, PreemptInterleavingsAllKernels)
 {
     tortureKernel<kernels::GlobalLinear>(111, true);
     tortureKernel<kernels::GlobalAffine>(112, true);

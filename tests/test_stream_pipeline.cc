@@ -624,14 +624,14 @@ TEST(StreamPipeline, ThresholdRoutesOversizedToGpuModelWhenOnlyGpuEnabled)
     EXPECT_EQ(aligns, stats.alignments);
 }
 
-TEST(StreamPipeline, BackendEstimatesAndQueueSignal)
+TEST(StreamPipeline, BackendEstimates)
 {
     sim::EngineConfig ecfg;
     ecfg.numPe = 8;
     ecfg.maxQueryLength = 64;
     ecfg.maxReferenceLength = 64;
-    host::DeviceChannelBackend<K> dev(ecfg, K::defaultParams(), 2, 1000,
-                                      250.0, nullptr);
+    host::ChannelBackend<K> dev(ecfg, K::defaultParams(), 2, 1000, 250.0,
+                                nullptr);
 
     seq::Rng rng(5);
     Pipeline::Job small{seq::randomDna(32, rng), seq::randomDna(32, rng)};
@@ -644,13 +644,6 @@ TEST(StreamPipeline, BackendEstimatesAndQueueSignal)
     // Longer jobs cost more.
     Pipeline::Job mid{seq::randomDna(64, rng), seq::randomDna(64, rng)};
     EXPECT_GT(dev.estimate(mid).seconds, small_est.seconds);
-
-    // The queued-work signal round-trips.
-    EXPECT_EQ(dev.queuedSeconds(), 0.0);
-    dev.noteEnqueued(0.5);
-    EXPECT_NEAR(dev.queuedSeconds(), 0.5, 1e-9);
-    dev.noteCompleted(0.5);
-    EXPECT_EQ(dev.queuedSeconds(), 0.0);
 
     // CPU backend: pinned rate gives an exact deterministic estimate.
     host::CpuBaselineBackend<K> cpu(K::defaultParams(), 64, 1500.0, 2,
@@ -675,7 +668,8 @@ TEST(StreamPipeline, BackendEstimatesAndQueueSignal)
     for (int i = 0; i < 8; i++)
         indices.push_back(i);
     host::ChannelStats acct;
-    learning.run(jobs, indices, results.data(), cycles.data(), acct);
+    host::StageRunControl ctl;
+    learning.run(jobs, indices, results.data(), cycles.data(), acct, ctl);
     EXPECT_GT(learning.cellsPerSecEstimate(short_cells), 0.0);
     EXPECT_NE(learning.cellsPerSecEstimate(short_cells), before);
     // A different shape bucket keeps its seed: the short jobs' samples

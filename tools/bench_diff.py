@@ -14,7 +14,10 @@ field when present, so reordering a table does not misalign rows), and:
     isa_tiers.active tier — if the active tier changed (different
     runner hardware), the comparison is demoted to a notice;
   - reports other wall-clock metrics (*cells_per_sec*, *_speedup*) as
-    notices only — shared CI runners make them too noisy to gate on.
+    notices only — shared CI runners make them too noisy to gate on;
+  - prints a notice for every hard- or soft-gated metric that is in the
+    old artifact but missing from the new one, so a reshaped bench
+    section cannot drop a gate silently.
 
 When the old directory is missing, empty, or has no matching files the
 script soft-passes with a notice (first run, expired artifacts).
@@ -102,6 +105,13 @@ def diff_file(name, old, new, threshold_pct, old_strings, new_strings):
         if classify(path, tier_matched) is not None:
             notices.append(f"{name}:{path}: {new[path]:.4g} "
                            "(new metric, no baseline — soft pass)")
+    # Gated metrics the new run no longer reports (a bench section was
+    # reshaped or renamed): nothing to gate on any more, which must be
+    # visible rather than a silent skip.
+    for path in sorted(old.keys() - new.keys()):
+        if classify(path, tier_matched) is not None:
+            notices.append(f"{name}:{path}: {old[path]:.4g} -> missing "
+                           "(gated metric disappeared)")
     for path in sorted(old.keys() & new.keys()):
         kind = classify(path, tier_matched)
         if kind is None:

@@ -44,12 +44,10 @@
  *               [--two-class-demo]
  *               [--isa-tier auto|scalar|sse2|avx2|avx512]
  *               [--intra-pair] [--intra-pair-min-len L]
- *               [--stage-pipeline] [--stage-fifo-depth N] [--preempt]
+ *               [--preempt]
  *
- * --stage-pipeline overlaps each shard's traceback with the next job's
- * fill on the same channel (bit-identical output, better wall-clock on
- * traceback-heavy runs); --preempt additionally lets higher-priority
- * tickets interrupt in-flight shards at stage boundaries.
+ * --preempt lets higher-priority tickets interrupt in-flight shards at
+ * lane-group boundaries (bit-identical output).
  *
  * --isa-tier pins the SIMD tier of the host lane engine (auto picks
  * the widest the CPU supports); results are identical at every tier,
@@ -114,9 +112,7 @@ struct Options
     sim::IsaTier isaTier = sim::IsaTier::Auto; //!< --isa-tier
     bool intraPair = false;    //!< route single long pairs to DiagSimd
     int intraPairMinLen = 1024; //!< shorter-end floor for --intra-pair
-    bool stagePipeline = false; //!< overlap fill and traceback stages
-    int stageFifoDepth = 4;     //!< fill -> traceback FIFO capacity
-    bool preempt = false;       //!< stage-boundary preemption points
+    bool preempt = false;       //!< lane-group preemption points
     std::string workload;       //!< "mixed": the three-class demo
     uint64_t seed = 1;          //!< --workload input seed
 };
@@ -141,8 +137,7 @@ usage()
                  "auto|scalar|sse2|avx2|avx512]\n"
                  "                   [--intra-pair] "
                  "[--intra-pair-min-len L]\n"
-                 "                   [--stage-pipeline] "
-                 "[--stage-fifo-depth N] [--preempt]\n"
+                 "                   [--preempt]\n"
                  "                   [--workload mixed] [--seed S]\n"
                  "kernels: global-linear global-affine local-linear "
                  "local-affine two-piece\n"
@@ -379,8 +374,6 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
     cfg.isaTier = opt.isaTier;
     cfg.intraPairSimd = opt.intraPair;
     cfg.intraPairSimdMinLen = opt.intraPairMinLen;
-    cfg.stagePipeline = opt.stagePipeline;
-    cfg.stageFifoDepth = opt.stageFifoDepth;
     cfg.preemption = opt.preempt;
     Pipeline pipeline(cfg);
 
@@ -404,8 +397,6 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
     size_t chunk = adaptive ? 64 : static_cast<size_t>(opt.chunk);
     constexpr double target_latency = 0.15; // seconds per ticket drain
     constexpr size_t chunk_min = 16, chunk_max = 16384;
-    Clock::time_point last_collect{};
-    bool have_last_collect = false;
 
     bool header_printed = false;
     const auto writeback = [&](const typename Pipeline::Ticket &ticket,
@@ -417,20 +408,9 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
         }
         host::accumulateBatchStats(epoch, pipeline.collect(ticket));
         if (adaptive) {
-            const auto now = Clock::now();
-            // Stage-pipelined channels drain a ticket while its
-            // successor's fills are already overlapping it, so
-            // submit-to-collect residence double-counts the overlap
-            // and over-shrinks the chunk; the collect-to-collect
-            // interval is the staged pipeline's true drain period.
             const double latency =
-                opt.stagePipeline && have_last_collect
-                    ? std::chrono::duration<double>(now - last_collect)
-                          .count()
-                    : std::chrono::duration<double>(now - submitted)
-                          .count();
-            last_collect = now;
-            have_last_collect = true;
+                std::chrono::duration<double>(Clock::now() - submitted)
+                    .count();
             if (latency > 0 && !ticket->jobs().empty()) {
                 const double ideal = static_cast<double>(chunk) *
                                      target_latency / latency;
@@ -781,12 +761,7 @@ main(int argc, char **argv)
             opt.intraPair = true;
         } else if (a == "--intra-pair-min-len") {
             opt.intraPairMinLen = std::atoi(next());
-        } else if (a == "--stage-pipeline") {
-            opt.stagePipeline = true;
-        } else if (a == "--stage-fifo-depth") {
-            opt.stageFifoDepth = std::atoi(next());
         } else if (a == "--preempt") {
-            opt.stagePipeline = true; // preemption needs stage points
             opt.preempt = true;
         } else if (a == "--workload") {
             opt.workload = next();

@@ -35,6 +35,8 @@
  *               [--cpu-fallback] [--cpu-floor L] [--gpu-model]
  *               [--aging-every N] [--quota N] [--no-admission]
  *               [--admission-slack X] [--interactive-priority P]
+ *               [--realtime-priority P] [--preempt]
+ *               [--isa-tier auto|scalar|sse2|avx2|avx512]
  */
 
 #include <atomic>
@@ -75,8 +77,6 @@ struct Options
     bool gpuModel = false;
     std::string dispatch; //!< "", "threshold" or "cost"
     int agingEvery = 16;
-    bool stagePipeline = false;
-    int stageFifoDepth = 4;
     bool preempt = false;
     uint64_t quota = 0; //!< per-tenant in-flight job cap (0 = off)
     bool admission = true;
@@ -103,8 +103,7 @@ usage()
         "                   [--admission-slack X] "
         "[--interactive-priority P]\n"
         "                   [--realtime-priority P]\n"
-        "                   [--stage-pipeline] [--stage-fifo-depth N] "
-        "[--preempt]\n"
+        "                   [--preempt]\n"
         "                   [--isa-tier auto|scalar|sse2|avx2|avx512]\n"
         "kernels: global-linear global-affine local-linear local-affine "
         "two-piece\n"
@@ -162,8 +161,6 @@ runServe(const Options &opt)
                        ? host::DispatchPolicy::Threshold
                        : host::DispatchPolicy::CostModel;
     cfg.agingEvery = opt.agingEvery;
-    cfg.stagePipeline = opt.stagePipeline;
-    cfg.stageFifoDepth = opt.stageFifoDepth;
     cfg.preemption = opt.preempt;
     // No result cache and no path stats: the serving path reports raw
     // per-backend accounting, and a cache hit would make the closure
@@ -292,12 +289,7 @@ main(int argc, char **argv)
             opt.gpuModel = true;
         } else if (a == "--aging-every") {
             opt.agingEvery = std::atoi(next());
-        } else if (a == "--stage-pipeline") {
-            opt.stagePipeline = true;
-        } else if (a == "--stage-fifo-depth") {
-            opt.stageFifoDepth = std::atoi(next());
         } else if (a == "--preempt") {
-            opt.stagePipeline = true; // preemption needs stage points
             opt.preempt = true;
         } else if (a == "--quota") {
             opt.quota = static_cast<uint64_t>(std::atoll(next()));
