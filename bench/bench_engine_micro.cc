@@ -14,11 +14,15 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "bench_json.hh"
 #include "host/latency_probe.hh"
 #include "host/stream_pipeline.hh"
 #include "kernels/all.hh"
+#include "seq/profile_builder.hh"
+#include "seq/protein_sampler.hh"
 #include "seq/read_simulator.hh"
 #include "seq/squiggle.hh"
 #include "systolic/engine.hh"
@@ -484,6 +488,123 @@ measureLongBandedPair(sim::EnginePath path, int len, int band,
     return band_cells * iters / elapsed;
 }
 
+/** One len x len pair over kernel @p K's alphabet, related content. */
+template <typename K>
+std::pair<seq::Sequence<typename K::CharT>, seq::Sequence<typename K::CharT>>
+kernelPair(int len, uint64_t seed)
+{
+    using CharT = typename K::CharT;
+    seq::Rng rng(seed);
+    seq::Sequence<CharT> q, r;
+    if constexpr (std::is_same_v<CharT, seq::DnaChar>) {
+        q = seq::randomDna(len, rng);
+        r = seq::mutateDna(q, 0.1, 0.05, rng);
+    } else if constexpr (std::is_same_v<CharT, seq::AminoChar>) {
+        q = seq::sampleProtein(len, rng);
+        r = seq::mutateProtein(q, 0.15, 0.05, rng);
+    } else if constexpr (std::is_same_v<CharT, seq::ProfileColumn>) {
+        auto pairs = seq::sampleProfilePairs(1, len, rng.next());
+        q = std::move(pairs[0].first);
+        r = std::move(pairs[0].second);
+    } else if constexpr (std::is_same_v<CharT, seq::ComplexSample>) {
+        q = seq::randomComplexSignal(len, rng);
+        r = seq::warpComplexSignal(q, 0.2, 0.3, rng);
+    } else {
+        auto pairs = seq::sampleSquigglePairs(1, len, len, rng.next());
+        q = std::move(pairs[0].query);
+        r = std::move(pairs[0].reference);
+    }
+    q.chars.resize(static_cast<size_t>(len));
+    r.chars.resize(static_cast<size_t>(len));
+    return {std::move(q), std::move(r)};
+}
+
+/** Rate and cycle check of one kernel's lane groups at the active tier. */
+struct KernelLaneRate
+{
+    const char *name = "";
+    double cellsPerSec = 0;
+    bool cyclesIdentical = false;
+};
+
+/**
+ * Wall-clock cells/sec of kernel @p K's 8-lane groups (512 x 512 each,
+ * traceback on; band cells for banded kernels) at the active tier, and
+ * whether every lane's device cycles equal the wavefront engine's.
+ */
+template <typename K>
+KernelLaneRate
+measureKernelLaneRate()
+{
+    constexpr int kLanes = 8, kLen = 512;
+    using Pair = decltype(kernelPair<K>(0, 0));
+    std::vector<Pair> pairs;
+    for (int i = 0; i < kLanes; i++)
+        pairs.push_back(kernelPair<K>(kLen, 101 + static_cast<uint64_t>(i)));
+    sim::EngineConfig cfg;
+    sim::LaneAligner<K> lanes(cfg);
+    std::vector<typename sim::LaneAligner<K>::LanePair> group;
+    for (const auto &p : pairs)
+        group.push_back({&p.first, &p.second});
+
+    KernelLaneRate out;
+    out.name = K::name;
+    lanes.alignLanes(group); // warm-up
+    sim::EngineConfig wcfg = cfg;
+    wcfg.path = sim::EnginePath::Wavefront;
+    sim::SystolicAligner<K> wave(wcfg);
+    out.cyclesIdentical = true;
+    for (int i = 0; i < kLanes; i++) {
+        wave.align(pairs[static_cast<size_t>(i)].first,
+                   pairs[static_cast<size_t>(i)].second);
+        out.cyclesIdentical = out.cyclesIdentical &&
+            wave.lastTotalCycles() == lanes.laneTotalCycles(i);
+    }
+
+    double cells = 0;
+    for (int i = 1; i <= kLen; i++) {
+        const int w = sim::bandJHi<K>(i, kLen, cfg.bandWidth) -
+                      sim::bandJLo<K>(i, cfg.bandWidth) + 1;
+        cells += w > 0 ? w : 0;
+    }
+    cells *= kLanes;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    int iters = 0;
+    double elapsed = 0;
+    do {
+        benchmark::DoNotOptimize(lanes.alignLanes(group));
+        iters++;
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0).count();
+    } while (elapsed < 0.25);
+    out.cellsPerSec = cells * iters / elapsed;
+    return out;
+}
+
+/** measureKernelLaneRate over all 15 registry kernels. */
+std::vector<KernelLaneRate>
+measureAllKernelLaneRates()
+{
+    return {
+        measureKernelLaneRate<kernels::GlobalLinear>(),
+        measureKernelLaneRate<kernels::GlobalAffine>(),
+        measureKernelLaneRate<kernels::GlobalTwoPiece>(),
+        measureKernelLaneRate<kernels::LocalLinear>(),
+        measureKernelLaneRate<kernels::LocalAffine>(),
+        measureKernelLaneRate<kernels::SemiGlobal>(),
+        measureKernelLaneRate<kernels::Overlap>(),
+        measureKernelLaneRate<kernels::BandedGlobalLinear>(),
+        measureKernelLaneRate<kernels::BandedLocalAffine>(),
+        measureKernelLaneRate<kernels::BandedGlobalTwoPiece>(),
+        measureKernelLaneRate<kernels::ProfileAlignment>(),
+        measureKernelLaneRate<kernels::Dtw>(),
+        measureKernelLaneRate<kernels::Viterbi>(),
+        measureKernelLaneRate<kernels::Sdtw>(),
+        measureKernelLaneRate<kernels::ProteinLocal>(),
+    };
+}
+
 /**
  * Wall-clock useful cells/sec of the mixed-length lane workload with
  * the given grouping order; also reports the summed per-job device
@@ -882,6 +1003,32 @@ writeJson(const std::string &path)
         w.kv("avx2_vs_sse2_speedup", avx2_rate / sse2_rate);
     w.endObject();
 
+    // Per-kernel lane rate at the active tier: the measured half of a
+    // roofline, showing which kernels' sweeps have headroom. Wall-clock,
+    // so bench_diff reports these cells_per_sec as notices only.
+    const auto kernel_rates = measureAllKernelLaneRates();
+    bool kernel_cycles_identical = true;
+    w.key("lane_kernels");
+    w.beginObject();
+    w.kv("tier", sim::isaTierName(active_tier));
+    w.kv("workload",
+         "8 lanes x 512x512 per kernel (band cells when banded), "
+         "traceback on");
+    w.key("kernels");
+    w.beginArray();
+    for (const auto &k : kernel_rates) {
+        w.beginObject();
+        w.kv("name", k.name);
+        w.kv("cells_per_sec", k.cellsPerSec);
+        w.kv("device_cycles_identical", k.cyclesIdentical);
+        w.endObject();
+        kernel_cycles_identical =
+            kernel_cycles_identical && k.cyclesIdentical;
+    }
+    w.endArray();
+    w.kv("device_cycles_identical", kernel_cycles_identical);
+    w.endObject();
+
     // Intra-pair anti-diagonal path on one ~100kb banded-global pair:
     // the single-long-pair shape where inter-pair lanes are empty.
     // Device cycles are path-independent; only host band cells/sec
@@ -1089,6 +1236,12 @@ writeJson(const std::string &path)
                 "%.2fx\n",
                 sim::isaTierName(active_tier), active_rate,
                 sse2_rate > 0 ? avx2_rate / sse2_rate : 0.0);
+    for (const auto &k : kernel_rates) {
+        std::printf("lane kernel %-44s %.3g cells/s, cycles identical: "
+                    "%s\n",
+                    k.name, k.cellsPerSec,
+                    k.cyclesIdentical ? "yes" : "NO");
+    }
     std::printf("intra-pair 100kb banded: wavefront %.3g, fast %.3g, "
                 "diag-simd %.3g band cells/s (%.2fx vs wavefront), "
                 "cycles identical: %s\n",

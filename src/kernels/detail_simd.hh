@@ -12,8 +12,9 @@
  *
  * Implementation uses the GNU vector extension (`vector_size`), which
  * GCC and Clang lower to SSE/AVX/NEON as available and split for
- * narrower ISAs; comparisons yield all-ones/zero lane masks and selects
- * are mask arithmetic, so the code is branch-free by construction. On
+ * narrower ISAs; comparisons yield all-ones/zero lane masks, selects
+ * are element-wise `?:` and max/min lower to the native vector max/min
+ * where the ISA has one, so the code is branch-free by construction. On
  * compilers without the extension, DPHLS_VEC stays undefined and the
  * lane engine falls back to its scalar per-lane loop.
  */
@@ -100,28 +101,38 @@ splat(int32_t v)
     return V{} + v;
 }
 
-/** Lane-mask select: mask lanes are all-ones (take a) or zero (take b). */
+/**
+ * Lane-mask select: an element select, so it lowers to a blend (or a
+ * k-mask move) instead of and/andnot/or. Every caller passes a
+ * comparison result or a bitwise combination of them, whose lanes are
+ * all-ones (take a) or zero (take b).
+ */
 template <typename V>
 DPHLS_SIMD_INLINE V
 sel(V mask, V a, V b)
 {
-    return (a & mask) | (b & ~mask);
+    return mask ? a : b;
 }
 
-/** Lane-wise max keeping @p a on ties (matches detail::maxOf). */
+/**
+ * Lane-wise max, lowered to the native vector max. On int32 lanes the
+ * tie winner cannot change the value, so this equals detail::maxOf;
+ * traceback pointers come from their own ==/> compares, never from
+ * which operand won.
+ */
 template <typename V>
 DPHLS_SIMD_INLINE V
 maxV(V a, V b)
 {
-    return sel(b > a, b, a);
+    return b > a ? b : a;
 }
 
-/** Lane-wise min keeping @p a on ties. */
+/** Lane-wise min, lowered to the native vector min. */
 template <typename V>
 DPHLS_SIMD_INLINE V
 minV(V a, V b)
 {
-    return sel(b < a, b, a);
+    return b < a ? b : a;
 }
 
 /** Linear-gap family (mirrors detail::linearCell). */
@@ -319,8 +330,9 @@ sdtwCellV(const V *up, const V *left, const V *diag, V qry, V ref,
  * lanes. The emission/Q terms are per-lane gathers from the 5x5 and
  * 5-entry tables (character codes, including the padding lanes'
  * default 0, always index in bounds); the adds and strictly-greater
- * maxima stay fully vectorized and mirror Viterbi::peFunc's candidate
- * order via maxV's keep-first-on-ties select.
+ * maxima stay fully vectorized and take the same values as
+ * Viterbi::peFunc's candidate chain (a max has one value whichever
+ * operand wins a tie).
  */
 template <typename V, typename Params>
 DPHLS_SIMD_INLINE void

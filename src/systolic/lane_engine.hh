@@ -257,15 +257,20 @@ class LaneAligner
         // Shared band-compressed traceback bank, [cell][lane]. When
         // traceback is off, every cell's store lands in one scratch
         // slot instead — the lane loop stays branch-free either way
-        // (a conditional store would block vectorization).
+        // (a conditional store would block vectorization). The bank
+        // only grows: both sweeps write every in-band cell of the
+        // group and laneTraceback reads only in-band cells, so stale
+        // pointers from an earlier group are never read and zeroing
+        // the bank per group would be wasted stores.
         std::vector<core::TbPtr> &tb = _ws.tb;
-        tb.clear();
         std::array<core::TbPtr, W> tb_scratch{};
         std::vector<int64_t> &row_base = _ws.rowBase;
         if (keep_tb) {
             const int64_t cells =
                 buildTbRowBase<K>(maxq, maxr, band, row_base);
-            tb.resize(static_cast<size_t>(cells) * W);
+            const size_t need = static_cast<size_t>(cells) * W;
+            if (tb.size() < need)
+                tb.resize(need);
         } else {
             row_base.assign(static_cast<size_t>(maxq + 1), 0);
         }

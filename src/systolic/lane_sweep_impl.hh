@@ -86,8 +86,22 @@ laneSweep(const LaneSweepArgs<K> &a)
     constexpr int nLayers = K::nLayers;
     constexpr int planes = LaneCharTraits<typename K::CharT>::planes;
 
+    // Loop invariants live in locals. The row and traceback stores
+    // below could alias anything reachable through `a` (the byte-wide
+    // pointer stores alias every type), so reading through `a` in the
+    // loops would reload the pointers and re-broadcast the parameters
+    // in every cell.
     const int maxq = a.maxq, maxr = a.maxr, band = a.band;
-    const V worst = simd::splat<V>(a.worstRaw);
+    const int32_t worst_raw = a.worstRaw;
+    const bool keep_tb = a.keepTb;
+    const typename K::Params params = *a.params;
+    const int32_t *const qch32 = a.qch32;
+    const int32_t *const rch32 = a.rch32;
+    const int32_t *const col_init = a.colInit;
+    const int64_t *const row_base = a.rowBase;
+    core::TbPtr *const tb = a.tb;
+    core::TbPtr *const tb_scratch = a.tbScratch;
+    const V worst = simd::splat<V>(worst_raw);
 
     V vql, vrl;
     std::memcpy(&vql, a.qlen, sizeof(V));
@@ -113,7 +127,7 @@ laneSweep(const LaneSweepArgs<K> &a)
         V dg[nLayers], lf[nLayers];
         for (int l = 0; l < nLayers; l++) {
             const int32_t bval =
-                jlo == 1 ? a.colInit[i * nLayers + l] : a.worstRaw;
+                jlo == 1 ? col_init[i * nLayers + l] : worst_raw;
             const V bv = simd::splat<V>(bval);
             *reinterpret_cast<V *>(
                 row_cur[l] + static_cast<size_t>(jlo - 1) * W) = bv;
@@ -125,15 +139,15 @@ laneSweep(const LaneSweepArgs<K> &a)
         V qry[planes];
         for (int pl = 0; pl < planes; pl++) {
             qry[pl] = *reinterpret_cast<const V *>(
-                a.qch32 +
+                qch32 +
                 (static_cast<size_t>(i - 1) * planes +
                  static_cast<size_t>(pl)) * W);
         }
 
         core::TbPtr *tb_row =
-            a.keepTb ? a.tb + static_cast<size_t>(a.rowBase[i]) * W
-                     : a.tbScratch;
-        const size_t tb_stride = a.keepTb ? W : 0;
+            keep_tb ? tb + static_cast<size_t>(row_base[i]) * W
+                    : tb_scratch;
+        const size_t tb_stride = keep_tb ? W : 0;
         const V vi = simd::splat<V>(i);
 
         for (int j = jlo; j <= jhi; j++) {
@@ -145,12 +159,12 @@ laneSweep(const LaneSweepArgs<K> &a)
             V ref[planes];
             for (int pl = 0; pl < planes; pl++) {
                 ref[pl] = *reinterpret_cast<const V *>(
-                    a.rch32 +
+                    rch32 +
                     (static_cast<size_t>(j - 1) * planes +
                      static_cast<size_t>(pl)) * W);
             }
             V vptr{};
-            callLaneCell<K, V>(up, lf, dg, qry, ref, *a.params, sc, vptr);
+            callLaneCell<K, V>(up, lf, dg, qry, ref, params, sc, vptr);
             for (int l = 0; l < nLayers; l++) {
                 *reinterpret_cast<V *>(
                     row_cur[l] + static_cast<size_t>(j) * W) = sc[l];
@@ -226,8 +240,20 @@ diagSweep(const DiagSweepArgs<K> &a)
     constexpr int nLayers = K::nLayers;
     constexpr int planes = LaneCharTraits<typename K::CharT>::planes;
 
+    // Loop invariants in locals, for the same aliasing reason as in
+    // laneSweep.
     const int qlen = a.qlen, rlen = a.rlen, band = a.band;
-    const V worst = simd::splat<V>(a.worstRaw);
+    const int32_t worst_raw = a.worstRaw;
+    const bool keep_tb = a.keepTb;
+    const typename K::Params params = *a.params;
+    const int32_t *const q32 = a.q32;
+    const int32_t *const rrev32 = a.rrev32;
+    const size_t q_stride = a.qStride, r_stride = a.rStride;
+    const int32_t *const row_init = a.rowInit;
+    const int32_t *const col_init = a.colInit;
+    const int64_t *const row_base = a.rowBase;
+    core::TbPtr *const tb = a.tb;
+    const V worst = simd::splat<V>(worst_raw);
     const V vql = simd::splat<V>(qlen);
     const V vrl = simd::splat<V>(rlen);
     V iota{};
@@ -264,16 +290,16 @@ diagSweep(const DiagSweepArgs<K> &a)
             V qry[planes], ref[planes];
             for (int pl = 0; pl < planes; pl++) {
                 std::memcpy(&qry[pl],
-                            a.q32 + static_cast<size_t>(pl) * a.qStride +
+                            q32 + static_cast<size_t>(pl) * q_stride +
                                 (i0 - 1),
                             sizeof(V));
                 std::memcpy(&ref[pl],
-                            a.rrev32 + static_cast<size_t>(pl) * a.rStride +
+                            rrev32 + static_cast<size_t>(pl) * r_stride +
                                 (rlen - d + i0),
                             sizeof(V));
             }
             V vptr{};
-            callLaneCell<K, V>(up, lf, dg, qry, ref, *a.params, sc, vptr);
+            callLaneCell<K, V>(up, lf, dg, qry, ref, params, sc, vptr);
 
             const V vi = simd::splat<V>(i0) + iota;
             const V vj = simd::splat<V>(d) - vi;
@@ -282,14 +308,14 @@ diagSweep(const DiagSweepArgs<K> &a)
                 const V out = simd::sel(in_range, sc[l], worst);
                 std::memcpy(cur[l] + i0, &out, sizeof(V));
             }
-            if (a.keepTb) {
+            if (keep_tb) {
                 const int kmax = ihi - i0 + 1 < W ? ihi - i0 + 1 : W;
                 for (int k = 0; k < kmax; k++) {
                     const int i = i0 + k;
                     const int j = d - i;
                     const int jlo_row =
                         K::banded ? (i - band > 1 ? i - band : 1) : 1;
-                    a.tb[a.rowBase[i] + (j - jlo_row)] =
+                    tb[row_base[i] + (j - jlo_row)] =
                         core::TbPtr{static_cast<uint8_t>(vptr[k])};
                 }
             }
@@ -322,11 +348,11 @@ diagSweep(const DiagSweepArgs<K> &a)
             if (s >= ilo && s <= ihi)
                 continue;
             for (int l = 0; l < nLayers; l++) {
-                int32_t raw = a.worstRaw;
+                int32_t raw = worst_raw;
                 if (s == 0 && d <= rlen)
-                    raw = a.rowInit[d * nLayers + l];
+                    raw = row_init[d * nLayers + l];
                 else if (s == d && d <= qlen)
-                    raw = a.colInit[d * nLayers + l];
+                    raw = col_init[d * nLayers + l];
                 cur[l][s] = raw;
             }
         }

@@ -191,6 +191,35 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("notice", result.stdout)
 
+    def test_lane_kernel_rates_soft_pass(self):
+        # The per-kernel lane_kernels section is wall-clock: its first
+        # landing soft-passes, and a later drop (even at the same tier)
+        # stays a notice keyed by the kernel's name.
+        def section(rate):
+            return {"isa_tiers": {"active": "avx2",
+                                  "active_lane_cells_per_sec": 100.0},
+                    "lane_kernels": {"tier": "avx2", "kernels": [
+                        {"name": "Dynamic Time Warping",
+                         "cells_per_sec": rate,
+                         "device_cycles_identical": True}]}}
+
+        self.write(self.old, {"isa_tiers": {
+            "active": "avx2", "active_lane_cells_per_sec": 100.0}})
+        self.write(self.new, section(100.0))
+        result = run_diff(self.old, self.new)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("lane_kernels.kernels[name=Dynamic Time Warping]"
+                      ".cells_per_sec: 100 (new metric, no baseline",
+                      result.stdout)
+
+        self.write(self.old, section(100.0))
+        self.write(self.new, section(10.0))
+        result = run_diff(self.old, self.new)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("notice: BENCH_t.json:lane_kernels.kernels"
+                      "[name=Dynamic Time Warping].cells_per_sec",
+                      result.stdout)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -14,6 +14,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "helpers.hh"
@@ -28,19 +30,6 @@
 using namespace dphls;
 
 namespace {
-
-/** Scalar fallback plus every vector tier this host can execute. */
-std::vector<sim::IsaTier>
-testTiers()
-{
-    std::vector<sim::IsaTier> tiers{sim::IsaTier::Scalar};
-    for (const auto t : {sim::IsaTier::Sse2, sim::IsaTier::Avx2,
-                         sim::IsaTier::Avx512}) {
-        if (sim::isaTierSupported(t))
-            tiers.push_back(t);
-    }
-    return tiers;
-}
 
 /**
  * Mixed-shape workload for kernel @p K: lengths around the lane widths,
@@ -83,10 +72,12 @@ expectTiersMatchScalar(
     cfg.bandWidth = band;
     cfg.maxQueryLength = 1024;
     cfg.maxReferenceLength = 1024;
-    sim::SystolicAligner<K> engine(cfg);
+    sim::EngineConfig gcfg = cfg;
+    gcfg.path = sim::EnginePath::Wavefront;
+    sim::SystolicAligner<K> engine(gcfg);
     using Tr = core::ScoreTraits<typename K::ScoreT>;
 
-    for (const sim::IsaTier tier : testTiers()) {
+    for (const sim::IsaTier tier : test::hostTiers()) {
         sim::EngineConfig tcfg = cfg;
         tcfg.isaTier = tier;
         sim::LaneAligner<K> lanes(tcfg);
@@ -131,15 +122,15 @@ tierSweepKernel(uint64_t seed, int count, int max_len, int npe, int band)
 
 /**
  * Diff the intra-pair anti-diagonal path against the wavefront engine
- * on one shape, at every tier.
+ * on one pair, at every tier.
  */
 template <typename K>
 void
-expectDiagMatchesWavefront(int qlen, int rlen, int band, uint64_t seed)
+expectDiagPairMatchesWavefront(const test::Pair<typename K::CharT> &pair,
+                               int band)
 {
-    seq::Rng rng(seed);
-    const auto pair = test::shapedPair<K>(rng, qlen, rlen);
-
+    const int qlen = pair.query.length();
+    const int rlen = pair.reference.length();
     sim::EngineConfig cfg;
     cfg.numPe = 32;
     cfg.bandWidth = band;
@@ -149,7 +140,7 @@ expectDiagMatchesWavefront(int qlen, int rlen, int band, uint64_t seed)
     const auto want = gold.align(pair.query, pair.reference);
     using Tr = core::ScoreTraits<typename K::ScoreT>;
 
-    for (const sim::IsaTier tier : testTiers()) {
+    for (const sim::IsaTier tier : test::hostTiers()) {
         sim::EngineConfig dcfg = cfg;
         dcfg.path = sim::EnginePath::DiagSimd;
         dcfg.isaTier = tier;
@@ -167,6 +158,107 @@ expectDiagMatchesWavefront(int qlen, int rlen, int band, uint64_t seed)
         EXPECT_TRUE(gold.lastStats() == diag.lastStats()) << ctx;
         EXPECT_EQ(gold.lastTotalCycles(), diag.lastTotalCycles()) << ctx;
     }
+}
+
+/** Same, on a seeded pair of exact (qlen, rlen) shape. */
+template <typename K>
+void
+expectDiagMatchesWavefront(int qlen, int rlen, int band, uint64_t seed)
+{
+    seq::Rng rng(seed);
+    expectDiagPairMatchesWavefront<K>(test::shapedPair<K>(rng, qlen, rlen),
+                                      band);
+}
+
+std::string
+repeatUnit(const std::string &unit, int times)
+{
+    std::string out;
+    for (int i = 0; i < times; i++)
+        out += unit;
+    return out;
+}
+
+/**
+ * Kernel-alphabet sequence from a DNA pattern. DNA kernels take the
+ * bases as they are; the signal kernels map each base to a fixed
+ * sample, so a homopolymer becomes a constant signal and a tandem
+ * repeat a periodic one.
+ */
+template <typename K>
+seq::Sequence<typename K::CharT>
+patternSeq(const std::string &pattern)
+{
+    using CharT = typename K::CharT;
+    const seq::DnaSequence dna = seq::dnaFromString(pattern);
+    if constexpr (std::is_same_v<CharT, seq::DnaChar>) {
+        return dna;
+    } else {
+        seq::Sequence<CharT> out;
+        for (int i = 0; i < dna.length(); i++) {
+            const int c = dna[i].code;
+            CharT ch;
+            if constexpr (std::is_same_v<CharT, seq::SignalSample>) {
+                ch.value = static_cast<int16_t>(40 * c - 60);
+            } else {
+                ch.real = hls::ApFixed<32, 26>(c);
+                ch.imag = hls::ApFixed<32, 26>(1 - c);
+            }
+            out.chars.push_back(ch);
+        }
+        return out;
+    }
+}
+
+/**
+ * Inputs where many DP candidates tie: homopolymers against
+ * homopolymers, identical pairs, pairs that mismatch at every position
+ * and short tandem repeats. Every cell then has equal-scoring
+ * predecessors, so the traceback pointer tie-breaks decide the path.
+ */
+template <typename K>
+std::vector<test::Pair<typename K::CharT>>
+tiePairs(seq::Rng &rng)
+{
+    std::string random_dna;
+    for (int i = 0; i < 48; i++)
+        random_dna += "ACGT"[rng.below(4)];
+    const std::vector<std::pair<std::string, std::string>> patterns = {
+        // Homopolymer vs homopolymer.
+        {repeatUnit("A", 40), repeatUnit("A", 40)},
+        {repeatUnit("A", 37), repeatUnit("A", 45)},
+        {repeatUnit("G", 1), repeatUnit("G", 20)},
+        // Identical pairs.
+        {random_dna, random_dna},
+        {repeatUnit("ACGT", 12), repeatUnit("ACGT", 12)},
+        // Every position mismatches.
+        {repeatUnit("A", 30), repeatUnit("C", 34)},
+        {repeatUnit("AC", 20), repeatUnit("GT", 18)},
+        // Short tandem repeats.
+        {repeatUnit("CAG", 14), repeatUnit("CAG", 17)},
+        {repeatUnit("AT", 25), repeatUnit("TA", 22)},
+        {repeatUnit("CAG", 6) + "CTG" + repeatUnit("CAG", 8),
+         repeatUnit("CAG", 15)},
+    };
+    std::vector<test::Pair<typename K::CharT>> pairs;
+    for (const auto &[q, r] : patterns)
+        pairs.push_back({patternSeq<K>(q), patternSeq<K>(r)});
+    return pairs;
+}
+
+/**
+ * Tie-heavy inputs through the lane engine and the anti-diagonal path
+ * at every tier, both diffed against the wavefront engine.
+ */
+template <typename K>
+void
+tieSweepKernel(uint64_t seed, int band)
+{
+    seq::Rng rng(seed);
+    const auto pairs = tiePairs<K>(rng);
+    expectTiersMatchScalar<K>(pairs, 16, band);
+    for (const auto &p : pairs)
+        expectDiagPairMatchesWavefront<K>(p, band);
 }
 
 } // namespace
@@ -213,6 +305,27 @@ TEST(IsaTiers, FixedPointFamily)
     tierSweepKernel<kernels::Viterbi>(51, 6, 60, 16, 8);
     tierSweepKernel<kernels::Dtw>(52, 6, 60, 16, 8);
     tierSweepKernel<kernels::Sdtw>(53, 6, 70, 32, 16);
+}
+
+/**
+ * Native vector max/min and element selects must keep every pointer
+ * tie-break of the scalar recurrence: linear, affine, two-piece, DTW
+ * and sDTW families on inputs where candidates tie in most cells.
+ */
+TEST(IsaTiers, TieHeavyInputs)
+{
+    tieSweepKernel<kernels::GlobalLinear>(101, 16);
+    tieSweepKernel<kernels::LocalLinear>(102, 16);
+    tieSweepKernel<kernels::SemiGlobal>(103, 16);
+    tieSweepKernel<kernels::Overlap>(104, 16);
+    tieSweepKernel<kernels::BandedGlobalLinear>(105, 16);
+    tieSweepKernel<kernels::GlobalAffine>(111, 16);
+    tieSweepKernel<kernels::LocalAffine>(112, 16);
+    tieSweepKernel<kernels::BandedLocalAffine>(113, 16);
+    tieSweepKernel<kernels::GlobalTwoPiece>(121, 16);
+    tieSweepKernel<kernels::BandedGlobalTwoPiece>(122, 16);
+    tieSweepKernel<kernels::Dtw>(131, 16);
+    tieSweepKernel<kernels::Sdtw>(132, 16);
 }
 
 // --- Intra-pair anti-diagonal path ----------------------------------
@@ -280,7 +393,7 @@ TEST(IsaTiers, ParseAndNames)
     EXPECT_EQ(t, sim::IsaTier::Scalar);
     EXPECT_FALSE(sim::parseIsaTier("avx1024", t));
     EXPECT_FALSE(sim::parseIsaTier("", t));
-    for (const auto tier : testTiers()) {
+    for (const auto tier : test::hostTiers()) {
         sim::IsaTier back = sim::IsaTier::Auto;
         ASSERT_TRUE(sim::parseIsaTier(sim::isaTierName(tier), back));
         EXPECT_EQ(back, tier);

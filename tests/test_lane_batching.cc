@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "helpers.hh"
 #include "host/stream_pipeline.hh"
 #include "kernels/all.hh"
+#include "systolic/engine.hh"
+#include "systolic/isa_tier.hh"
 #include "systolic/lane_engine.hh"
 
 using namespace dphls;
@@ -198,6 +203,107 @@ TEST(LaneAligner, ProteinGatheredSubstitutionGroupSweep)
     pairs.push_back({seq::sampleProtein(140, rng),
                      seq::sampleProtein(140, rng)});
     expectLanesMatchScalar<kernels::ProteinLocal>(pairs, 32, 8);
+}
+
+namespace {
+
+/** A group of @p count pairs with lengths drawn from [lo, hi]. */
+template <typename K>
+std::vector<test::Pair<typename K::CharT>>
+sizedGroup(seq::Rng &rng, int count, int lo, int hi)
+{
+    const auto len = [&] {
+        return lo +
+               static_cast<int>(rng.below(static_cast<uint64_t>(hi - lo + 1)));
+    };
+    std::vector<test::Pair<typename K::CharT>> pairs;
+    for (int i = 0; i < count; i++) {
+        const int qlen = len();
+        pairs.push_back(
+            test::shapedPair<K>(rng, qlen, K::banded ? qlen : len()));
+    }
+    return pairs;
+}
+
+/**
+ * One LaneAligner per tier runs groups that shrink and then grow back.
+ * Its traceback bank only grows and keeps the earlier groups' pointers,
+ * so any in-band cell a sweep failed to write would hand the traceback
+ * a stale pointer; every lane is diffed against the wavefront engine.
+ */
+template <typename K>
+void
+expectReusedBankMatchesWavefront(uint64_t seed, int band)
+{
+    using Pairs = std::vector<test::Pair<typename K::CharT>>;
+    seq::Rng rng(seed);
+    std::vector<Pairs> groups;
+    groups.push_back(sizedGroup<K>(rng, 8, 1000, 1100));
+    groups.push_back(sizedGroup<K>(rng, 8, 250, 330));
+    groups.push_back(Pairs{
+        test::shapedPair<K>(rng, 700, K::banded ? 700 : 40),
+        test::shapedPair<K>(rng, 5, K::banded ? 5 : 300),
+        test::shapedPair<K>(rng, 260, 260)});
+    groups.push_back(sizedGroup<K>(rng, 8, 1000, 1100));
+
+    sim::EngineConfig cfg;
+    cfg.numPe = 32;
+    cfg.bandWidth = band;
+    cfg.maxQueryLength = 2048;
+    cfg.maxReferenceLength = 2048;
+    sim::EngineConfig gcfg = cfg;
+    gcfg.path = sim::EnginePath::Wavefront;
+    sim::SystolicAligner<K> engine(gcfg);
+    using Result = typename sim::SystolicAligner<K>::Result;
+    std::vector<std::vector<Result>> gold(groups.size());
+    std::vector<std::vector<sim::CycleStats>> gold_stats(groups.size());
+    std::vector<std::vector<uint64_t>> gold_cycles(groups.size());
+    for (size_t g = 0; g < groups.size(); g++) {
+        for (const auto &p : groups[g]) {
+            gold[g].push_back(engine.align(p.query, p.reference));
+            gold_stats[g].push_back(engine.lastStats());
+            gold_cycles[g].push_back(engine.lastTotalCycles());
+        }
+    }
+
+    using Tr = core::ScoreTraits<typename K::ScoreT>;
+    for (const sim::IsaTier tier : test::hostTiers()) {
+        sim::EngineConfig tcfg = cfg;
+        tcfg.isaTier = tier;
+        sim::LaneAligner<K> lanes(tcfg);
+        for (size_t g = 0; g < groups.size(); g++) {
+            std::vector<typename sim::LaneAligner<K>::LanePair> group;
+            for (const auto &p : groups[g])
+                group.push_back({&p.query, &p.reference});
+            const auto got = lanes.alignLanes(group);
+            ASSERT_EQ(got.size(), group.size());
+            for (size_t i = 0; i < got.size(); i++) {
+                const std::string ctx = std::string(K::name) + " tier " +
+                    sim::isaTierName(tier) + " group " +
+                    std::to_string(g) + " lane " + std::to_string(i);
+                const auto &want = gold[g][i];
+                ASSERT_EQ(Tr::toDouble(want.score),
+                          Tr::toDouble(got[i].score)) << ctx;
+                ASSERT_EQ(want.start, got[i].start) << ctx;
+                ASSERT_EQ(want.end, got[i].end) << ctx;
+                ASSERT_EQ(want.ops, got[i].ops) << ctx;
+                EXPECT_TRUE(gold_stats[g][i] == lanes.laneStats()[i])
+                    << ctx;
+                EXPECT_EQ(gold_cycles[g][i],
+                          lanes.laneTotalCycles(static_cast<int>(i)))
+                    << ctx;
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(LaneAligner, ReusedTracebackBankAcrossShrinkingAndGrowingGroups)
+{
+    expectReusedBankMatchesWavefront<kernels::LocalAffine>(808, 16);
+    expectReusedBankMatchesWavefront<kernels::BandedGlobalTwoPiece>(809,
+                                                                    24);
 }
 
 TEST(LaneAligner, RejectsOversizedGroup)

@@ -387,6 +387,10 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
     using Clock = std::chrono::steady_clock;
     std::deque<std::pair<typename Pipeline::Ticket, Clock::time_point>>
         pending;
+    // Measured host rate of the stream loop (parse, align, writeback),
+    // printed beside the modeled device rate.
+    const Clock::time_point wall_start = Clock::now();
+    double wall_cells = 0;
 
     // Adaptive chunking (--chunk auto/0): size the next ticket from the
     // observed submit-to-collect latency of retired tickets, keeping
@@ -429,6 +433,8 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
             const auto &q = jobs[i].query;
             const auto &r = jobs[i].reference;
             const auto &res = results[i];
+            wall_cells += static_cast<double>(q.length()) *
+                          static_cast<double>(r.length());
             std::printf("%-20.20s %-20.20s %-10.0f %-12llu %s\n",
                         q.name.empty() ? "(unnamed)" : q.name.c_str(),
                         r.name.empty() ? "(unnamed)" : r.name.c_str(),
@@ -508,15 +514,21 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
         pending.pop_front();
     }
 
+    const double wall_s =
+        std::chrono::duration<double>(Clock::now() - wall_start).count();
     host::finalizeBatchStats(epoch, cfg.fmaxMhz, cfg.cpuEquivalentMhz);
     std::printf("# batch: %d alignments over %d channel(s) x %d host "
                 "thread(s), makespan %llu cycles, %.3g aligns/sec @ %.1f "
-                "MHz, isa %s\n",
+                "MHz (modeled), isa %s\n",
                 epoch.alignments, pipeline.channelCount(),
                 pipeline.threadCount(),
                 (unsigned long long)epoch.makespanCycles,
                 epoch.alignsPerSec, cfg.fmaxMhz,
                 sim::isaTierName(pipeline.activeIsaTier()));
+    std::printf("# wall: %.3f s, %.3g pairs/s, %.3g GCUPS (measured on "
+                "this host, parse to writeback)\n",
+                wall_s, wall_s > 0 ? epoch.alignments / wall_s : 0.0,
+                wall_s > 0 ? wall_cells / wall_s / 1e9 : 0.0);
     for (const auto &b : epoch.backends) {
         if (epoch.backends.size() < 2 && std::strcmp(b.name, "cpu") != 0)
             continue; // single-backend runs: skip the redundant section
