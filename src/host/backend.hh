@@ -217,8 +217,8 @@ class AlignBackend
  * One simulated device channel: fast-path systolic engine, SIMD lane
  * engine, shared result cache, and the greedy NB-block arbiter. Jobs
  * run in lane groups of up to @p lane_width (1 = one job at a time on
- * the scalar engine), processed in (qlen, rlen) order when length-aware
- * grouping is on so each lane group shares a similar padded iteration
+ * the scalar engine), processed in (qlen, rlen) order when groups are
+ * wider than one, so each lane group shares a similar padded iteration
  * space. Cache lookups interleave with lane-group flushes, so a pair
  * repeated later in the same shard hits once its first instance's
  * group has been computed and inserted.
@@ -235,7 +235,7 @@ class ChannelBackend : public AlignBackend<K>
     ChannelBackend(const sim::EngineConfig &ecfg, const Params &params,
                    int nb, uint64_t host_overhead_cycles, double fmax_mhz,
                    ShardedResultCache<Result> *cache, int lane_width = 1,
-                   bool sort_by_length = true, bool intra_pair_simd = false,
+                   bool intra_pair_simd = false,
                    int intra_pair_min_len = 1024)
         : _engine(ecfg, params), _lanes(ecfg, params),
           _diagEngine(diagConfig(ecfg), params), _params(params),
@@ -244,7 +244,7 @@ class ChannelBackend : public AlignBackend<K>
           _blockFree(static_cast<size_t>(std::max(1, nb)), 0),
           _width(std::clamp(lane_width, 1,
                             sim::LaneAligner<K>::maxLanes)),
-          _sortByLength(sort_by_length), _intraPairSimd(intra_pair_simd),
+          _intraPairSimd(intra_pair_simd),
           _intraPairMinLen(intra_pair_min_len)
     {}
 
@@ -311,7 +311,7 @@ class ChannelBackend : public AlignBackend<K>
         ctl.done.assign(indices.size(), 0);
         std::vector<size_t> order(indices.size()); // positions in indices
         std::iota(order.begin(), order.end(), size_t{0});
-        if (_width > 1 && _sortByLength) {
+        if (_width > 1) {
             std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
                 return std::make_tuple(jobAt(a).query.length(),
                                        jobAt(a).reference.length(),
@@ -464,7 +464,6 @@ class ChannelBackend : public AlignBackend<K>
     double _fmaxMhz;
     std::vector<uint64_t> _blockFree;
     int _width;
-    bool _sortByLength;
     bool _intraPairSimd;
     int _intraPairMinLen;
 };

@@ -6,6 +6,13 @@
 
 namespace dphls::host {
 
+namespace {
+
+/** Set while this thread runs a pool task (worker or inline). */
+thread_local bool t_insideTask = false;
+
+} // namespace
+
 ThreadPool::ThreadPool(int threads, int aging_every)
     : _agingEvery(std::max(0, aging_every))
 {
@@ -67,6 +74,63 @@ ThreadPool::wait()
     _idleCv.wait(lock, [this] { return _tasks.empty() && _active == 0; });
 }
 
+std::function<void()>
+ThreadPool::popLocked()
+{
+    const auto heapOrder = [](const Entry &a, const Entry &b) {
+        return runsBefore(b, a);
+    };
+    std::function<void()> task;
+    _pops++;
+    if (_agingEvery > 0 && _tasks.size() > 1 &&
+        _pops % static_cast<uint64_t>(_agingEvery) == 0) {
+        // Aging pop: serve the oldest submission so bulk tasks keep a
+        // latency bound under saturating high-priority traffic. The
+        // heap order is restored afterwards.
+        auto oldest = std::min_element(
+            _tasks.begin(), _tasks.end(),
+            [](const Entry &a, const Entry &b) { return a.seq < b.seq; });
+        task = std::move(oldest->fn);
+        *oldest = std::move(_tasks.back());
+        _tasks.pop_back();
+        std::make_heap(_tasks.begin(), _tasks.end(), heapOrder);
+    } else {
+        std::pop_heap(_tasks.begin(), _tasks.end(), heapOrder);
+        task = std::move(_tasks.back().fn);
+        _tasks.pop_back();
+    }
+    _active++;
+    return task;
+}
+
+void
+ThreadPool::runTask(std::function<void()> &task)
+{
+    t_insideTask = true;
+    task();
+    t_insideTask = false;
+    std::unique_lock lock(_mutex);
+    _active--;
+    if (_tasks.empty() && _active == 0)
+        _idleCv.notify_all();
+}
+
+bool
+ThreadPool::runOne() noexcept
+{
+    if (t_insideTask)
+        return false;
+    std::function<void()> task;
+    {
+        std::unique_lock lock(_mutex);
+        if (_tasks.empty())
+            return false;
+        task = popLocked();
+    }
+    runTask(task);
+    return true;
+}
+
 void
 ThreadPool::workerLoop()
 {
@@ -77,41 +141,9 @@ ThreadPool::workerLoop()
             _cv.wait(lock, [this] { return _stop || !_tasks.empty(); });
             if (_stop && _tasks.empty())
                 return;
-            _pops++;
-            if (_agingEvery > 0 && _tasks.size() > 1 &&
-                _pops % static_cast<uint64_t>(_agingEvery) == 0) {
-                // Aging pop: serve the oldest submission so bulk tasks
-                // keep a latency bound under saturating high-priority
-                // traffic. The heap order is restored afterwards.
-                auto oldest = std::min_element(
-                    _tasks.begin(), _tasks.end(),
-                    [](const Entry &a, const Entry &b) {
-                        return a.seq < b.seq;
-                    });
-                task = std::move(oldest->fn);
-                *oldest = std::move(_tasks.back());
-                _tasks.pop_back();
-                std::make_heap(_tasks.begin(), _tasks.end(),
-                               [](const Entry &a, const Entry &b) {
-                                   return runsBefore(b, a);
-                               });
-            } else {
-                std::pop_heap(_tasks.begin(), _tasks.end(),
-                              [](const Entry &a, const Entry &b) {
-                                  return runsBefore(b, a);
-                              });
-                task = std::move(_tasks.back().fn);
-                _tasks.pop_back();
-            }
-            _active++;
+            task = popLocked();
         }
-        task();
-        {
-            std::unique_lock lock(_mutex);
-            _active--;
-            if (_tasks.empty() && _active == 0)
-                _idleCv.notify_all();
-        }
+        runTask(task);
     }
 }
 

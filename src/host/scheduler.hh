@@ -14,6 +14,11 @@
  * deadline, which degrades to exact FIFO order — existing callers see
  * the historical behavior unchanged.
  *
+ * A thread waiting on the pool's work may also run it: runOne() pops the
+ * best queued task, in the same order and aging phase as a worker pop,
+ * and runs it on the calling thread (the StreamPipeline's collect() and
+ * drain() help this way instead of sleeping on an unfinished ticket).
+ *
  * Starvation control: a pool constructed with aging_every = N > 0
  * serves the *oldest* queued task (lowest submission sequence) on every
  * N-th pop instead of the best-priority one, so a saturating
@@ -100,8 +105,21 @@ class ThreadPool
     /** Enqueue a task with explicit scheduling attributes. */
     void submit(std::function<void()> task, const TaskOptions &options);
 
-    /** Block until all submitted tasks have completed. */
+    /**
+     * Block until all submitted tasks have completed, including tasks
+     * running inline on a thread inside runOne().
+     */
     void wait();
+
+    /**
+     * Pop the best queued task, exactly as a worker pop would (order
+     * and aging phase), and run it on the calling thread. Returns false
+     * without running anything when the queue is empty or when the
+     * caller is itself inside a pool task — of any pool — so helping
+     * never nests. The task is unguarded, as on a worker: an exception
+     * escaping it terminates the process.
+     */
+    bool runOne() noexcept;
 
     int threadCount() const { return static_cast<int>(_workers.size()); }
 
@@ -118,6 +136,16 @@ class ThreadPool
     /** True when @p a should run before @p b. */
     static bool runsBefore(const Entry &a, const Entry &b);
 
+    /**
+     * Pop the next task under _mutex (the heap's best, or the oldest on
+     * an aging pop) and count it in _active. The queue must be
+     * non-empty.
+     */
+    std::function<void()> popLocked();
+
+    /** Run a popped task flagged as a pool task, then retire it. */
+    void runTask(std::function<void()> &task);
+
     void workerLoop();
 
     std::vector<std::thread> _workers;
@@ -128,7 +156,7 @@ class ThreadPool
     std::mutex _mutex;
     std::condition_variable _cv;
     std::condition_variable _idleCv;
-    size_t _active = 0;
+    size_t _active = 0; //!< popped tasks still running (workers or inline)
     bool _stop = false;
 };
 

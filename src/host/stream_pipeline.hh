@@ -55,6 +55,13 @@
  *    per channel, the old arrangement). When threads are scarcer than
  *    runnable shards the pool pops tasks in the same (priority,
  *    deadline, FIFO) order as the dispatch queues.
+ *  - Waits are **work-assisting**: a thread blocked in collect() or
+ *    drain() on an unfinished ticket first runs shards already queued
+ *    in this pipeline's pool, and sleeps only once that queue is empty,
+ *    so the host thread that submits and collects adds a core to the
+ *    pool instead of idling. It takes only shards the dispatcher has
+ *    already released, so pause, channel capacity, scheduling order,
+ *    preemption and cancel decide what runs exactly as for a worker.
  *
  * pause()/resume() gate dispatch without blocking submission: while
  * paused, submitted shards accumulate in the dispatch queues and
@@ -168,8 +175,11 @@ struct BatchConfig
      * Host worker threads, decoupled from NK: 0 (the default) sizes
      * the pool at one thread per channel; with SIMD lanes a single
      * thread can saturate several modeled channels, so fewer threads
-     * than channels is a legitimate configuration. Accounting is
-     * modeled (cycle-domain), so thread count never changes results or
+     * than channels is a legitimate configuration. A thread blocked in
+     * collect()/drain() also runs queued shards (and their completion
+     * callbacks) while it waits, so the effective parallelism is the
+     * pool plus each waiting caller. Accounting is modeled
+     * (cycle-domain), so thread count never changes results or
      * statistics — only host wall-clock.
      */
     int threads = 0;
@@ -185,19 +195,12 @@ struct BatchConfig
     bool collectPathStats = true;
     /**
      * Jobs per SIMD lane group (1 = scalar engine per job; 8 or 16 are
-     * the intended widths, capped at LaneAligner::maxLanes). Per-job
+     * the intended widths, capped at LaneAligner::maxLanes). Wider
+     * groups are formed from each device shard sorted by (qlen, rlen),
+     * so lockstep lanes share a similar padded iteration space. Per-job
      * results and accounting are identical either way.
      */
     int laneWidth = 1;
-    /**
-     * Length-aware lane grouping: sort each device shard by
-     * (qlen, rlen) before forming lane groups so lockstep lanes share a
-     * similar padded iteration space. Observable output is unchanged
-     * (results, per-job cycles and arbiter accounting are
-     * grouping-independent); only host wall-clock improves on
-     * mixed-length batches. Ignored when laneWidth == 1.
-     */
-    bool sortLanesByLength = true;
     /**
      * Host SIMD ISA tier of the lane engines (Auto = widest the CPU
      * supports, capped by the DPHLS_ISA_TIER env var). Dispatch-time
@@ -787,14 +790,19 @@ DispatchCore<K>::finishShard(BatchTicket<K> &ticket)
  * Streaming multi-backend pipeline running kernel @p K.
  *
  * Thread-safety: submit()/collect()/drain()/pause()/resume() and ticket
- * cancel() may be called concurrently from any thread. Completion
- * callbacks usually run on a worker thread, but fire synchronously on
- * the thread that retires the ticket's last shard: submit() of an
- * empty batch, a cancel() that drops the last queued shard, or a
- * resume()/submit() whose pump discards a cancelled entry — callbacks
- * must not throw, must never wait on their own ticket, and must not
- * take locks the cancelling/submitting thread may already hold.
- * Destroying the
+ * cancel() may be called concurrently from any thread. A thread blocked
+ * in collect()/drain() (and so runAll()) on an unfinished ticket runs
+ * queued shards of this pipeline — any ticket's — until the pool queue
+ * is empty, then sleeps; a call made from inside a pool task (e.g. a
+ * completion callback) never helps. Completion callbacks usually run
+ * on a worker thread or on such a collecting thread, but fire
+ * synchronously on the thread that retires the ticket's last shard:
+ * submit() of an empty batch, a cancel() that drops the last queued
+ * shard, or a resume()/submit() whose pump discards a cancelled entry
+ * — callbacks must not throw, must never wait on their own ticket, and
+ * must not take locks the cancelling/submitting/collecting thread may
+ * already hold. A shard run by a collecting thread is as unguarded as
+ * one on a worker. Destroying the
  * pipeline drains every queued and in-flight shard first (releasing a
  * pause if one is active), so held tickets complete (and become
  * collectible) even when the pipeline dies before they are waited on —
@@ -847,8 +855,7 @@ class StreamPipeline
         for (int c = 0; c < _cfg.nk; c++) {
             _channels.push_back(std::make_unique<ChannelBackend<K>>(
                 ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
-                _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
-                _cfg.sortLanesByLength, _cfg.intraPairSimd,
+                _cfg.fmaxMhz, &_cache, _cfg.laneWidth, _cfg.intraPairSimd,
                 _cfg.intraPairSimdMinLen));
         }
         if (_cfg.cpuFallback) {
@@ -914,7 +921,8 @@ class StreamPipeline
     /**
      * Enqueue an owned batch for asynchronous execution; the returned
      * ticket completes when every shard has finished. @p callback (if
-     * any) fires once on a worker thread at completion.
+     * any) fires once at completion, on the thread that ran the last
+     * shard (a worker, or a caller helping in collect()/drain()).
      */
     Ticket
     submit(std::vector<Job> jobs, Callback callback = nullptr)
@@ -961,17 +969,18 @@ class StreamPipeline
     }
 
     /**
-     * Wait for @p ticket, retire it from the outstanding set and return
-     * its per-ticket statistics. When @p results / @p job_cycles are
-     * given, the ticket's outputs are moved into them (collect with
-     * outputs at most once per ticket); otherwise they stay readable on
-     * the ticket.
+     * Wait for @p ticket (running queued shards meanwhile, see the class
+     * comment), retire it from the outstanding set and return its
+     * per-ticket statistics. When @p results / @p job_cycles are given,
+     * the ticket's outputs are moved into them (collect with outputs at
+     * most once per ticket); otherwise they stay readable on the
+     * ticket.
      */
     BatchStats
     collect(const Ticket &ticket, std::vector<Result> *results = nullptr,
             std::vector<uint64_t> *job_cycles = nullptr)
     {
-        ticket->wait();
+        awaitTicket(*ticket);
         {
             std::lock_guard lock(_outstandingMutex);
             auto it = std::find(_outstanding.begin(), _outstanding.end(),
@@ -1013,7 +1022,7 @@ class StreamPipeline
         agg.isaTier = sim::isaTierName(_resolvedTier);
         agg.channels.assign(static_cast<size_t>(_cfg.nk), ChannelStats{});
         for (const auto &t : drained) {
-            t->wait();
+            awaitTicket(*t);
             accumulateBatchStats(agg, t->_stats);
             if (results) {
                 results->insert(
@@ -1155,6 +1164,19 @@ class StreamPipeline
   private:
     using Core = detail::DispatchCore<K>;
     using ShardEntry = typename Core::ShardEntry;
+
+    /**
+     * Work-assisting wait: run shards queued in the pool on this thread
+     * until @p ticket is done or the queue is empty (runOne() refuses
+     * inside a pool task, so a callback never helps), then sleep on it.
+     */
+    void
+    awaitTicket(const BatchTicket<K> &ticket)
+    {
+        while (!ticket.done() && _pool.runOne()) {
+        }
+        ticket.wait();
+    }
 
     static int
     poolThreads(const BatchConfig &cfg)

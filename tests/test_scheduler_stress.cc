@@ -3,7 +3,8 @@
  * ThreadPool stress tests guarding the StreamPipeline's async paths:
  * concurrent submit() from multiple producers, wait() reentrancy
  * (including wait() racing wait()), tasks that submit follow-up tasks,
- * destruction with work still queued, and — at the pipeline level —
+ * destruction with work still queued, runOne() (a waiting thread
+ * running queued tasks inline), and — at the pipeline level —
  * submissions racing completion waits and drains (per-ticket accounting
  * keeps a submit() overlapping a drain() out of the epoch race).
  */
@@ -12,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -156,6 +159,161 @@ TEST(ThreadPoolStress, PopOrderIsPriorityThenDeadlineThenFifo)
     // Priority desc, then deadline asc (finite before infinite), then
     // submission order.
     EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 4, 0, 5}));
+}
+
+namespace {
+
+/**
+ * A gate task that holds one pool thread until open(): the constructor
+ * returns only once the thread has entered it, so everything submitted
+ * afterwards is queued behind it.
+ */
+class Gate
+{
+  public:
+    explicit Gate(ThreadPool &pool)
+    {
+        pool.submit([this] {
+            std::unique_lock lock(_mutex);
+            _entered = true;
+            _cv.notify_all();
+            _cv.wait(lock, [this] { return _open; });
+        });
+        std::unique_lock lock(_mutex);
+        _cv.wait(lock, [this] { return _entered; });
+    }
+
+    void
+    open()
+    {
+        std::lock_guard lock(_mutex);
+        _open = true;
+        _cv.notify_all();
+    }
+
+  private:
+    std::mutex _mutex;
+    std::condition_variable _cv;
+    bool _entered = false;
+    bool _open = false;
+};
+
+} // namespace
+
+TEST(ThreadPoolStress, RunOnePopsInWorkerOrder)
+{
+    ThreadPool pool(1);
+    Gate gate(pool); // the only worker is busy: runOne() pops everything
+    std::vector<int> order;
+    const auto record = [&order](int id) {
+        return [&order, id] { order.push_back(id); };
+    };
+    pool.submit(record(0));
+    pool.submit(record(1), {.priority = 5});
+    pool.submit(record(2), {.priority = 5, .deadlineSeconds = 10.0});
+    pool.submit(record(3), {.priority = 5, .deadlineSeconds = 2.0});
+    pool.submit(record(4), {.priority = 1});
+    pool.submit(record(5));
+
+    int ran = 0;
+    while (pool.runOne())
+        ran++;
+    EXPECT_EQ(ran, 6);
+    // Same (priority, deadline, FIFO) order as a worker drains.
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 4, 0, 5}));
+    EXPECT_FALSE(pool.runOne()); // empty queue: nothing to run
+    gate.open();
+    pool.wait();
+}
+
+TEST(ThreadPoolStress, RunOneAdvancesTheAgingPhaseLikeAWorkerPop)
+{
+    // Aging every 3rd pop. The worker's pop of the gate is pop 1, so
+    // runOne()'s pops are 2, 3 (aging: oldest), 4 and 5 — only a
+    // shared pop counter puts the class-0 task second.
+    ThreadPool pool(1, 3);
+    Gate gate(pool);
+    std::vector<int> order;
+    const auto record = [&order](int id) {
+        return [&order, id] { order.push_back(id); };
+    };
+    pool.submit(record(0));                  // oldest, lowest class
+    pool.submit(record(1), {.priority = 5});
+    pool.submit(record(2), {.priority = 5});
+    pool.submit(record(3), {.priority = 5});
+    while (pool.runOne()) {
+    }
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+    gate.open();
+    pool.wait();
+}
+
+TEST(ThreadPoolStress, WaitSeesTaskRunningInline)
+{
+    ThreadPool pool(1);
+    Gate gate(pool);
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool inline_started = false;
+    bool inline_release = false;
+    std::atomic<bool> inline_done{false};
+    pool.submit([&] {
+        {
+            std::unique_lock lock(mutex);
+            inline_started = true;
+            cv.notify_all();
+            cv.wait(lock, [&] { return inline_release; });
+        }
+        inline_done = true;
+    });
+    std::thread helper([&] { EXPECT_TRUE(pool.runOne()); });
+    {
+        std::unique_lock lock(mutex);
+        cv.wait(lock, [&] { return inline_started; });
+    }
+    gate.open(); // the worker idles; only the inline task is running
+
+    std::atomic<bool> waited{false};
+    std::thread waiter([&] {
+        pool.wait();
+        EXPECT_TRUE(inline_done.load());
+        waited = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(waited.load());
+    {
+        std::lock_guard lock(mutex);
+        inline_release = true;
+        cv.notify_all();
+    }
+    helper.join();
+    waiter.join();
+    EXPECT_TRUE(waited.load());
+}
+
+TEST(ThreadPoolStress, RunOneRefusesInsideAPoolTask)
+{
+    ThreadPool pool(1);
+    ThreadPool other(1);
+    Gate other_gate(other);
+    std::atomic<bool> follow_up_ran{false};
+    other.submit([] {}); // queued: other's only worker is gated
+    std::atomic<int> checks{0};
+    pool.submit([&] {
+        // Queued behind this task on the only worker: runOne() would
+        // run it here if it did not refuse.
+        pool.submit([&] { follow_up_ran = true; });
+        EXPECT_FALSE(pool.runOne());
+        EXPECT_FALSE(other.runOne()); // no nesting across pools either
+        EXPECT_FALSE(follow_up_ran.load());
+        checks++;
+    });
+    pool.wait();
+    EXPECT_EQ(checks.load(), 1);
+    EXPECT_TRUE(follow_up_ran.load());
+    EXPECT_TRUE(other.runOne()); // outside a task the same call helps
+    other_gate.open();
+    other.wait();
 }
 
 TEST(ThreadPoolStress, SubmitRacingWait)

@@ -5,13 +5,17 @@
  * every registered kernel; overlapped submission and completion
  * callbacks must behave; heterogeneous device/CPU dispatch accounting
  * must stay consistent (per-backend sections summing to epoch totals);
- * length-sorted lane grouping must be observation-transparent; and a
- * pipeline destroyed with in-flight tickets must still complete them.
+ * length-sorted lane grouping must be observation-transparent; a
+ * thread waiting in collect()/drain() must run queued shards without
+ * changing any output; and a pipeline destroyed with in-flight tickets
+ * must still complete them.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -431,14 +435,15 @@ TEST(StreamPipeline, LengthSortedLaneGroupingIsObservationTransparent)
         jobs.push_back({std::move(p.query), std::move(p.reference)});
     }
 
+    // Lane groups wider than one are always length-sorted; the scalar
+    // width runs every job alone, in shard order.
     host::BatchConfig sorted_cfg;
     sorted_cfg.npe = 16;
     sorted_cfg.nb = 4;
     sorted_cfg.nk = 2;
     sorted_cfg.laneWidth = 8;
-    sorted_cfg.sortLanesByLength = true;
     host::BatchConfig unsorted_cfg = sorted_cfg;
-    unsorted_cfg.sortLanesByLength = false;
+    unsorted_cfg.laneWidth = 1;
 
     Pipeline sorted_pipe(sorted_cfg), unsorted_pipe(unsorted_cfg);
     std::vector<Pipeline::Result> sres, ures;
@@ -486,6 +491,201 @@ TEST(StreamPipeline, ThreadCountIsDecoupledFromChannels)
         EXPECT_EQ(s1.channels[c].busyCycles, s8.channels[c].busyCycles)
             << c;
     }
+}
+
+namespace {
+
+/**
+ * Occupies the only worker of a threads = 1 pipeline inside a completion
+ * callback until open(), so shards submitted meanwhile can run only on
+ * a thread helping in collect()/drain(). The wait is bounded: a wait
+ * that never helps fails the test instead of hanging it.
+ */
+class BlockedWorker
+{
+  public:
+    explicit BlockedWorker(Pipeline &pipeline)
+    {
+        ticket = pipeline.submit(
+            dnaJobs(1, 8000), [this](host::BatchTicket<K> &) {
+                std::unique_lock lock(_mutex);
+                _entered = true;
+                _cv.notify_all();
+                _cv.wait_for(lock, std::chrono::seconds(30),
+                             [this] { return _open; });
+            });
+        std::unique_lock lock(_mutex);
+        _cv.wait(lock, [this] { return _entered; });
+    }
+
+    void
+    open()
+    {
+        std::lock_guard lock(_mutex);
+        _open = true;
+        _cv.notify_all();
+    }
+
+    Pipeline::Ticket ticket;
+
+  private:
+    std::mutex _mutex;
+    std::condition_variable _cv;
+    bool _entered = false;
+    bool _open = false;
+};
+
+constexpr int kHelpTickets = 4;
+
+std::vector<Pipeline::Job>
+helpBatch(int b)
+{
+    return dnaJobs(13, 8100 + static_cast<uint64_t>(b));
+}
+
+host::BatchConfig
+helpConfig(int threads)
+{
+    host::BatchConfig cfg;
+    cfg.npe = 8;
+    cfg.nb = 2;
+    cfg.nk = 4;
+    cfg.threads = threads;
+    return cfg;
+}
+
+void
+expectSameAccounting(const host::BatchStats &want,
+                     const host::BatchStats &got, const std::string &ctx)
+{
+    EXPECT_EQ(want.makespanCycles, got.makespanCycles) << ctx;
+    EXPECT_EQ(want.totalCycles, got.totalCycles) << ctx;
+    EXPECT_EQ(want.alignments, got.alignments) << ctx;
+    ASSERT_EQ(want.channels.size(), got.channels.size()) << ctx;
+    for (size_t c = 0; c < want.channels.size(); c++) {
+        EXPECT_EQ(want.channels[c].busyCycles, got.channels[c].busyCycles)
+            << ctx << " channel " << c;
+        EXPECT_EQ(want.channels[c].alignments, got.channels[c].alignments)
+            << ctx << " channel " << c;
+    }
+}
+
+} // namespace
+
+TEST(StreamPipeline, CollectingThreadRunsQueuedShards)
+{
+    // Reference: a pool as wide as the channels.
+    std::vector<std::vector<Pipeline::Result>> want_res(kHelpTickets);
+    std::vector<std::vector<uint64_t>> want_cyc(kHelpTickets);
+    std::vector<host::BatchStats> want_stats;
+    {
+        Pipeline pipeline(helpConfig(4));
+        std::vector<Pipeline::Ticket> tickets;
+        for (int b = 0; b < kHelpTickets; b++)
+            tickets.push_back(pipeline.submit(helpBatch(b)));
+        for (int b = 0; b < kHelpTickets; b++) {
+            const size_t i = static_cast<size_t>(b);
+            want_stats.push_back(
+                pipeline.collect(tickets[i], &want_res[i], &want_cyc[i]));
+        }
+    }
+
+    // One worker for four channels, and that worker held in a
+    // callback: every shard below runs on the collecting thread.
+    Pipeline pipeline(helpConfig(1));
+    BlockedWorker blocked(pipeline);
+    const auto self = std::this_thread::get_id();
+    std::atomic<int> fires{0};
+    std::atomic<int> on_collector{0};
+    std::vector<Pipeline::Ticket> tickets;
+    for (int b = 0; b < kHelpTickets; b++) {
+        tickets.push_back(pipeline.submit(
+            helpBatch(b), [&](host::BatchTicket<K> &) {
+                if (std::this_thread::get_id() == self)
+                    on_collector++;
+                fires++;
+            }));
+    }
+    for (int b = 0; b < kHelpTickets; b++) {
+        const size_t i = static_cast<size_t>(b);
+        std::vector<Pipeline::Result> res;
+        std::vector<uint64_t> cyc;
+        const auto stats = pipeline.collect(tickets[i], &res, &cyc);
+        const std::string ctx = "ticket " + std::to_string(b);
+        expectSameOutputs<K>(want_res[i], want_cyc[i], res, cyc,
+                             ctx.c_str());
+        expectSameAccounting(want_stats[i], stats, ctx);
+    }
+    EXPECT_EQ(fires.load(), kHelpTickets);
+    EXPECT_EQ(on_collector.load(), kHelpTickets);
+    blocked.open();
+    EXPECT_EQ(pipeline.collect(blocked.ticket).alignments, 1);
+}
+
+TEST(StreamPipeline, DrainingThreadRunsQueuedShards)
+{
+    // drain() retires the blocking ticket first, so the last helped
+    // callback opens it; the reference drains the same tickets.
+    std::vector<Pipeline::Result> want_res;
+    std::vector<uint64_t> want_cyc;
+    host::BatchStats want_stats;
+    {
+        Pipeline pipeline(helpConfig(4));
+        pipeline.submit(dnaJobs(1, 8000));
+        for (int b = 0; b < kHelpTickets; b++)
+            pipeline.submit(helpBatch(b));
+        want_stats = pipeline.drain(&want_res, &want_cyc);
+    }
+
+    Pipeline pipeline(helpConfig(1));
+    BlockedWorker blocked(pipeline);
+    const auto self = std::this_thread::get_id();
+    std::atomic<int> fires{0};
+    std::atomic<int> on_collector{0};
+    for (int b = 0; b < kHelpTickets; b++) {
+        pipeline.submit(helpBatch(b), [&](host::BatchTicket<K> &) {
+            if (std::this_thread::get_id() == self)
+                on_collector++;
+            if (++fires == kHelpTickets)
+                blocked.open();
+        });
+    }
+    std::vector<Pipeline::Result> res;
+    std::vector<uint64_t> cyc;
+    const auto stats = pipeline.drain(&res, &cyc);
+    expectSameOutputs<K>(want_res, want_cyc, res, cyc, "drain");
+    expectSameAccounting(want_stats, stats, "drain");
+    EXPECT_EQ(on_collector.load(), kHelpTickets);
+}
+
+TEST(StreamPipeline, PausedCollectRunsNothingUntilResume)
+{
+    host::BatchConfig cfg = helpConfig(1);
+    Pipeline pipeline(cfg);
+    pipeline.pause();
+    std::atomic<int> fires{0};
+    auto ticket = pipeline.submit(
+        dnaJobs(10, 8200), host::TicketOptions{},
+        [&fires](host::BatchTicket<K> &) { fires++; });
+
+    std::atomic<bool> returned{false};
+    host::BatchStats stats;
+    std::thread collector([&] {
+        stats = pipeline.collect(ticket);
+        returned = true;
+    });
+    // Paused shards never reach the pool, so the collecting thread has
+    // nothing to help with: it must sleep, not run the ticket.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load());
+    EXPECT_FALSE(ticket->done());
+    EXPECT_EQ(fires.load(), 0);
+
+    pipeline.resume();
+    collector.join();
+    EXPECT_TRUE(returned.load());
+    EXPECT_EQ(fires.load(), 1);
+    EXPECT_EQ(stats.alignments, 10);
 }
 
 TEST(StreamPipeline, DestructionWithInFlightTicketsCompletesThem)

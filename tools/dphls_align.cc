@@ -10,7 +10,9 @@
  * submitted to the StreamPipeline in chunks, and written back as each
  * chunk's ticket completes — parsing, alignment and writeback overlap
  * instead of barriering on the whole file. Worker threads (--threads)
- * are decoupled from the modeled channel count (--nk), and
+ * are decoupled from the modeled channel count (--nk); the main thread,
+ * while it waits to collect a ticket, also runs shards queued for the
+ * workers (and so may run completion callbacks), and
  * --cpu-fallback routes pairs the device cannot take (over --max-len)
  * or should not take (both ends under --cpu-floor) to the CPU baseline
  * backend, with the hetero split reported per backend.
@@ -138,7 +140,11 @@ usage()
                  "                   [--intra-pair] "
                  "[--intra-pair-min-len L]\n"
                  "                   [--preempt]\n"
-                 "                   [--workload mixed] [--seed S]\n"
+"                   [--workload mixed] [--seed S]\n"
+                 "--threads T: pool workers (0 = one per channel); the "
+                 "main thread also runs\n"
+                 "             queued shards while it waits to collect "
+                 "a ticket\n"
                  "kernels: global-linear global-affine local-linear "
                  "local-affine two-piece\n"
                  "         overlap semi-global banded-global banded-local "

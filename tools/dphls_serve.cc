@@ -26,7 +26,9 @@
  * A Stats frame returns the per-backend accounting sections plus the
  * admission counters; a Shutdown frame drains the pipeline and stops
  * the daemon (so CI can terminate it without signals; SIGINT/SIGTERM
- * also stop it).
+ * also stop it). On exit it prints the served/rejected counts and a
+ * measured `# wall:` line: seconds from listen to shutdown and
+ * completed jobs per second of that wall time.
  *
  * Usage:
  *   dphls_serve --socket PATH [--kernel NAME] [--npe N] [--band W]
@@ -40,6 +42,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -179,6 +182,7 @@ runServe(const Options &opt)
 
     serve::AlignService<K> service(cfg, scfg);
     serve::UnixListener listener(opt.socketPath);
+    const auto listen_start = std::chrono::steady_clock::now();
     g_listenFd.store(listener.fd(), std::memory_order_relaxed);
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
@@ -226,6 +230,10 @@ runServe(const Options &opt)
     listener.close();
     for (auto &t : sessions)
         t.join();
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() -
+                              listen_start)
+                              .count();
     const serve::ServeStats stats = service.snapshot();
     std::printf("dphls_serve: served %llu request(s) "
                 "(%llu rejected: %llu deadline, %llu quota, "
@@ -239,6 +247,12 @@ runServe(const Options &opt)
                 (unsigned long long)stats.rejectedMalformed,
                 (unsigned long long)stats.completedJobs,
                 stats.accountingClosed ? "closed" : "NOT CLOSED");
+    // Measured host rate, listen to shutdown (idle time included); the
+    // Stats frame's aligns_per_sec is the modeled device rate.
+    std::printf("# wall: %.3f s, %.1f jobs/s\n", wall_s,
+                wall_s > 0 ? static_cast<double>(stats.completedJobs) /
+                                 wall_s
+                           : 0.0);
     return stats.accountingClosed ? 0 : 1;
 }
 
