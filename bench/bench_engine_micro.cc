@@ -695,10 +695,11 @@ measureDispatchPolicy(host::DispatchPolicy policy)
 
     DispatchOutcome out;
     out.alignsPerSec = stats.alignsPerSec;
-    for (const auto &ch : stats.channels)
-        out.deviceAligns += ch.alignments;
-    out.cpuAligns = stats.cpu.alignments;
-    out.gpuAligns = stats.gpu.alignments;
+    const size_t nk = stats.deviceSlots();
+    for (size_t s = 0; s < nk; s++)
+        out.deviceAligns += stats.slots[s].alignments;
+    out.cpuAligns = stats.slots[nk].alignments;
+    out.gpuAligns = stats.slots[nk + 1].alignments;
     out.scores.reserve(results.size());
     for (const auto &r : results)
         out.scores.push_back(r.scoreAsDouble());

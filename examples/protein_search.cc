@@ -100,7 +100,8 @@ main()
     }
     printf("homologs in top 5: %d/5\n", homologs_in_top5);
     printf("throughput: %.3g alignments/s\n", epoch.alignsPerSec);
-    for (const auto &b : epoch.backends) {
+    for (const auto &b : host::backendSections(epoch, cfg.fmaxMhz,
+                                               cfg.cpuEquivalentMhz)) {
         printf("  backend %-6s: %d alignments, %llu busy cycles @ %.0f "
                "MHz\n",
                b.name, b.alignments, (unsigned long long)b.busyCycles,

@@ -2,13 +2,14 @@
  * @file
  * Short-read mapping scenario (BWA-MEM-style, kernel #7): semi-global
  * alignment of simulated 128-base reads against 256-base candidate
- * reference windows, batched through the full device model (NK channels x
- * NB blocks), mirroring the paper's host-side workflow (front-end step 6).
+ * reference windows, batched through the streaming executor's device model
+ * (NK channels x NB blocks), mirroring the paper's host-side workflow
+ * (front-end step 6).
  */
 
 #include <cstdio>
 
-#include "host/device_model.hh"
+#include "host/stream_pipeline.hh"
 #include "kernels/semi_global.hh"
 #include "seq/read_simulator.hh"
 
@@ -41,15 +42,17 @@ main()
     }
 
     // Device: 32 PEs per block, 8 blocks, 2 channels.
-    host::DeviceConfig cfg;
+    host::BatchConfig cfg;
     cfg.npe = 32;
     cfg.nb = 8;
     cfg.nk = 2;
     cfg.fmaxMhz = 250.0;
-    host::DeviceModel<kernels::SemiGlobal> device(cfg);
+    using Pipeline = host::StreamPipeline<kernels::SemiGlobal>;
+    Pipeline pipeline(cfg);
 
-    std::vector<host::DeviceModel<kernels::SemiGlobal>::Result> results;
-    const auto stats = device.run(jobs, &results);
+    std::vector<Pipeline::Result> results;
+    const auto stats =
+        pipeline.collect(pipeline.submitBorrowed(jobs), &results);
 
     int well_placed = 0;
     double mean_identity = 0;

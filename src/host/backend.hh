@@ -7,7 +7,7 @@
  * device cannot take (sequences over the synthesized MAX_*_LENGTH) or
  * should not take (tiny pairs whose DMA/invocation overhead dominates).
  * AlignBackend is the seam between the two: the StreamPipeline routes
- * each job to a backend and aggregates per-backend accounting, so the
+ * each job to a backend's dispatch slot and accounts per slot, so the
  * heterogeneous split stays visible in the epoch statistics.
  *
  * Three implementations:
@@ -100,7 +100,8 @@ struct AlignmentJob
     seq::Sequence<CharT> reference;
 };
 
-/** Accounting of one backend run (a channel shard or a CPU shard). */
+/** Accounting of one dispatch slot (a device channel, the CPU baseline
+ *  or the GPU model) over one ticket or epoch. */
 struct ChannelStats
 {
     uint64_t busyCycles = 0;  //!< makespan of the backend's blocks/slots
@@ -183,11 +184,6 @@ class AlignBackend
 
     virtual ~AlignBackend() = default;
 
-    /** Stable backend name used in per-backend stats sections. */
-    virtual const char *name() const = 0;
-    /** Clock the backend's cycles are counted at (MHz). */
-    virtual double clockMhz() const = 0;
-
     /** Estimated marginal service time for @p job on this backend. */
     virtual CostEstimate estimate(const Job &job) const = 0;
 
@@ -247,9 +243,6 @@ class ChannelBackend : public AlignBackend<K>
           _intraPairSimd(intra_pair_simd),
           _intraPairMinLen(intra_pair_min_len)
     {}
-
-    const char *name() const override { return "device"; }
-    double clockMhz() const override { return _fmaxMhz; }
 
     /**
      * Analytic service-time estimate from the engine_common cycle
@@ -532,9 +525,6 @@ class CpuBaselineBackend : public AlignBackend<K>
             b.store(seed, std::memory_order_relaxed);
     }
 
-    const char *name() const override { return "cpu"; }
-    double clockMhz() const override { return _cpuMhz; }
-
     /**
      * Current cells/sec estimate for a job of @p cells DP cells: the
      * EWMA of the job's log2-cell-count shape bucket (or the pinned
@@ -673,9 +663,6 @@ class GpuModelBackend : public AlignBackend<K>
         : _aligner(params, band_width), _bandWidth(band_width),
           _threads(std::max(1, threads)), _skipTraceback(skip_traceback)
     {}
-
-    const char *name() const override { return "gpu"; }
-    double clockMhz() const override { return baseline::gpuModelClockMhz(); }
 
     CostEstimate
     estimate(const Job &job) const override

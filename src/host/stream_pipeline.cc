@@ -4,36 +4,36 @@
 
 namespace dphls::host {
 
-std::vector<std::vector<int>>
-shardRoundRobin(int jobs, int channels)
+namespace {
+
+/** Clock (MHz) that slot @p s of a stats object with @p nk device
+ *  slots counts its cycles at. */
+double
+slotClockMhz(size_t s, size_t nk, double fmax_mhz, double cpu_mhz)
 {
-    std::vector<std::vector<int>> shards(
-        static_cast<size_t>(std::max(1, channels)));
-    if (jobs <= 0)
-        return shards;
-    const int nk = static_cast<int>(shards.size());
-    for (auto &s : shards)
-        s.reserve(static_cast<size_t>((jobs + nk - 1) / nk));
-    for (int i = 0; i < jobs; i++)
-        shards[static_cast<size_t>(i % nk)].push_back(i);
-    return shards;
+    if (s < nk)
+        return fmax_mhz;
+    return s == nk ? cpu_mhz : baseline::gpuModelClockMhz();
 }
 
-std::vector<std::vector<int>>
-shardIndicesRoundRobin(const std::vector<int> &indices, int channels)
+double
+cyclesToSeconds(uint64_t cycles, double mhz)
 {
-    std::vector<std::vector<int>> shards(
-        static_cast<size_t>(std::max(1, channels)));
-    const int nk = static_cast<int>(shards.size());
-    const int n = static_cast<int>(indices.size());
-    for (auto &s : shards)
-        s.reserve(static_cast<size_t>((n + nk - 1) / nk));
-    for (int i = 0; i < n; i++) {
-        shards[static_cast<size_t>(i % nk)].push_back(
-            indices[static_cast<size_t>(i)]);
-    }
-    return shards;
+    return mhz > 0 ? static_cast<double>(cycles) / (mhz * 1e6) : 0.0;
 }
+
+void
+addSlot(ChannelStats &into, const ChannelStats &add)
+{
+    into.busyCycles += add.busyCycles;
+    into.totalCycles += add.totalCycles;
+    into.alignments += add.alignments;
+    into.cancelled += add.cancelled;
+    into.deadlineMisses += add.deadlineMisses;
+    into.preemptions += add.preemptions;
+}
+
+} // namespace
 
 void
 mergePathStats(core::AlignmentStats &into, const core::AlignmentStats &add)
@@ -49,107 +49,28 @@ mergePathStats(core::AlignmentStats &into, const core::AlignmentStats &add)
 void
 finalizeBatchStats(BatchStats &stats, double fmax_mhz, double cpu_mhz)
 {
+    const size_t nk = stats.deviceSlots();
+    ChannelStats sum;
     stats.makespanCycles = 0;
-    uint64_t device_total = 0;
-    int device_aligns = 0;
-    int device_cancelled = 0;
-    int device_misses = 0;
-    int device_preempts = 0;
-    for (const auto &ch : stats.channels) {
-        stats.makespanCycles = std::max(stats.makespanCycles, ch.busyCycles);
-        device_total += ch.totalCycles;
-        device_aligns += ch.alignments;
-        device_cancelled += ch.cancelled;
-        device_misses += ch.deadlineMisses;
-        device_preempts += ch.preemptions;
-    }
-    stats.totalCycles =
-        device_total + stats.cpu.totalCycles + stats.gpu.totalCycles;
-    stats.alignments =
-        device_aligns + stats.cpu.alignments + stats.gpu.alignments;
-    stats.cancelled =
-        device_cancelled + stats.cpu.cancelled + stats.gpu.cancelled;
-    stats.deadlineMisses =
-        device_misses + stats.cpu.deadlineMisses + stats.gpu.deadlineMisses;
-    stats.preemptions =
-        device_preempts + stats.cpu.preemptions + stats.gpu.preemptions;
-
-    stats.backends.clear();
-    {
-        BackendStats dev;
-        dev.name = "device";
-        dev.clockMhz = fmax_mhz;
-        dev.busyCycles = stats.makespanCycles;
-        dev.totalCycles = device_total;
-        dev.alignments = device_aligns;
-        dev.cancelled = device_cancelled;
-        dev.deadlineMisses = device_misses;
-        dev.preemptions = device_preempts;
-        dev.seconds = fmax_mhz > 0
-            ? static_cast<double>(dev.busyCycles) / (fmax_mhz * 1e6)
-            : 0.0;
-        stats.backends.push_back(dev);
-    }
-    if (stats.cpu.alignments > 0 || stats.cpu.cancelled > 0) {
-        BackendStats cpu;
-        cpu.name = "cpu";
-        cpu.clockMhz = cpu_mhz;
-        cpu.busyCycles = stats.cpu.busyCycles;
-        cpu.totalCycles = stats.cpu.totalCycles;
-        cpu.alignments = stats.cpu.alignments;
-        cpu.cancelled = stats.cpu.cancelled;
-        cpu.deadlineMisses = stats.cpu.deadlineMisses;
-        cpu.preemptions = stats.cpu.preemptions;
-        cpu.seconds = cpu_mhz > 0
-            ? static_cast<double>(cpu.busyCycles) / (cpu_mhz * 1e6)
-            : 0.0;
-        stats.backends.push_back(cpu);
-    }
-    if (stats.gpu.alignments > 0 || stats.gpu.cancelled > 0) {
-        BackendStats gpu;
-        gpu.name = "gpu";
-        gpu.clockMhz = baseline::gpuModelClockMhz();
-        gpu.busyCycles = stats.gpu.busyCycles;
-        gpu.totalCycles = stats.gpu.totalCycles;
-        gpu.alignments = stats.gpu.alignments;
-        gpu.cancelled = stats.gpu.cancelled;
-        gpu.deadlineMisses = stats.gpu.deadlineMisses;
-        gpu.preemptions = stats.gpu.preemptions;
-        gpu.seconds =
-            static_cast<double>(gpu.busyCycles) / (gpu.clockMhz * 1e6);
-        stats.backends.push_back(gpu);
-    }
-
-#if DPHLS_DCHECK_ENABLED
-    // The per-backend sections are the epoch totals re-bucketed; if a
-    // future edit adds a backend without threading it through both
-    // views, the books stop balancing.
-    {
-        uint64_t sec_cycles = 0;
-        int sec_aligns = 0;
-        int sec_cancelled = 0;
-        for (const auto &b : stats.backends) {
-            sec_cycles += b.totalCycles;
-            sec_aligns += b.alignments;
-            sec_cancelled += b.cancelled;
-        }
-        DPHLS_DCHECK(sec_cycles == stats.totalCycles,
-                     "backend section cycles ", sec_cycles,
-                     " != epoch total ", stats.totalCycles);
-        DPHLS_DCHECK(sec_aligns == stats.alignments,
-                     "backend section alignments ", sec_aligns,
-                     " != epoch total ", stats.alignments);
-        DPHLS_DCHECK(sec_cancelled == stats.cancelled,
-                     "backend section cancelled ", sec_cancelled,
-                     " != epoch total ", stats.cancelled);
-    }
-#endif
-
-    // The backends run concurrently; the epoch's wall time is the
-    // slowest section at its own clock.
     stats.seconds = 0;
-    for (const auto &b : stats.backends)
-        stats.seconds = std::max(stats.seconds, b.seconds);
+    for (size_t s = 0; s < stats.slots.size(); s++) {
+        const ChannelStats &slot = stats.slots[s];
+        addSlot(sum, slot);
+        if (s < nk)
+            stats.makespanCycles =
+                std::max(stats.makespanCycles, slot.busyCycles);
+        // The slots run concurrently; the epoch's wall time is the
+        // slowest one at its own clock.
+        stats.seconds = std::max(
+            stats.seconds,
+            cyclesToSeconds(slot.busyCycles,
+                            slotClockMhz(s, nk, fmax_mhz, cpu_mhz)));
+    }
+    stats.totalCycles = sum.totalCycles;
+    stats.alignments = sum.alignments;
+    stats.cancelled = sum.cancelled;
+    stats.deadlineMisses = sum.deadlineMisses;
+    stats.preemptions = sum.preemptions;
     stats.alignsPerSec =
         stats.seconds > 0 ? stats.alignments / stats.seconds : 0.0;
     stats.cyclesPerAlign =
@@ -161,29 +82,45 @@ finalizeBatchStats(BatchStats &stats, double fmax_mhz, double cpu_mhz)
 void
 accumulateBatchStats(BatchStats &into, const BatchStats &add)
 {
-    if (into.channels.size() < add.channels.size())
-        into.channels.resize(add.channels.size());
-    for (size_t c = 0; c < add.channels.size(); c++) {
-        into.channels[c].busyCycles += add.channels[c].busyCycles;
-        into.channels[c].totalCycles += add.channels[c].totalCycles;
-        into.channels[c].alignments += add.channels[c].alignments;
-        into.channels[c].cancelled += add.channels[c].cancelled;
-        into.channels[c].deadlineMisses += add.channels[c].deadlineMisses;
-        into.channels[c].preemptions += add.channels[c].preemptions;
-    }
-    into.cpu.busyCycles += add.cpu.busyCycles;
-    into.cpu.totalCycles += add.cpu.totalCycles;
-    into.cpu.alignments += add.cpu.alignments;
-    into.cpu.cancelled += add.cpu.cancelled;
-    into.cpu.deadlineMisses += add.cpu.deadlineMisses;
-    into.cpu.preemptions += add.cpu.preemptions;
-    into.gpu.busyCycles += add.gpu.busyCycles;
-    into.gpu.totalCycles += add.gpu.totalCycles;
-    into.gpu.alignments += add.gpu.alignments;
-    into.gpu.cancelled += add.gpu.cancelled;
-    into.gpu.deadlineMisses += add.gpu.deadlineMisses;
-    into.gpu.preemptions += add.gpu.preemptions;
+    if (into.slots.size() < add.slots.size())
+        into.slots.resize(add.slots.size());
+    for (size_t s = 0; s < add.slots.size(); s++)
+        addSlot(into.slots[s], add.slots[s]);
     mergePathStats(into.paths, add.paths);
+}
+
+std::vector<BackendStats>
+backendSections(const BatchStats &stats, double fmax_mhz, double cpu_mhz)
+{
+    static constexpr const char *kNames[] = {"device", "cpu", "gpu"};
+    const size_t nk = stats.deviceSlots();
+    // Section 0 merges the device channels; each later slot (CPU, GPU)
+    // opens its own.
+    std::vector<BackendStats> sections(1);
+    for (size_t s = 0; s < stats.slots.size(); s++) {
+        if (s >= nk) {
+            sections.emplace_back();
+            sections.back().name = kNames[s - nk + 1];
+        }
+        BackendStats &b = sections.back();
+        const ChannelStats &slot = stats.slots[s];
+        b.clockMhz = slotClockMhz(s, nk, fmax_mhz, cpu_mhz);
+        b.busyCycles = std::max(b.busyCycles, slot.busyCycles);
+        b.totalCycles += slot.totalCycles;
+        b.alignments += slot.alignments;
+        b.cancelled += slot.cancelled;
+        b.deadlineMisses += slot.deadlineMisses;
+        b.preemptions += slot.preemptions;
+        b.seconds = cyclesToSeconds(b.busyCycles, b.clockMhz);
+    }
+    sections.front().clockMhz = fmax_mhz;
+    sections.erase(std::remove_if(sections.begin() + 1, sections.end(),
+                                  [](const BackendStats &b) {
+                                      return b.alignments == 0 &&
+                                             b.cancelled == 0;
+                                  }),
+                   sections.end());
+    return sections;
 }
 
 } // namespace dphls::host

@@ -10,9 +10,12 @@
  *    independently (no global barrier), completion callbacks fire as
  *    each batch's last shard finishes, and collect()/wait() retire one
  *    ticket at a time so hosts can pipeline parse -> align -> writeback.
- *  - Accounting is **per ticket**: every ticket carries its own channel
- *    and backend statistics, finalized at completion, so a submit()
- *    overlapping a drain() cannot race the epoch accounting.
+ *  - Accounting is **per ticket** and **per dispatch slot**: every
+ *    ticket carries one ChannelStats per slot (the NK device channels,
+ *    then the CPU baseline, then the GPU model), finalized at
+ *    completion, so a submit() overlapping a drain() cannot race the
+ *    epoch accounting. Device/CPU/GPU sections are derived from the
+ *    slots (backendSections()) only where they are printed or sent.
  *  - A **dispatch policy** routes each job to a backend. The Threshold
  *    policy is the shape rule: jobs the device cannot take (sequences
  *    over MAX_*_LENGTH) or should not take (pairs below a configurable
@@ -27,8 +30,8 @@
  *    beats the deadline it picks the one with the lowest marginal
  *    service cost, even if another backend would complete sooner — fast
  *    capacity stays free for traffic that actually needs it. Either
- *    way, per-backend stats sections make the heterogeneous split
- *    visible, and they sum to the epoch totals. A job no enabled
+ *    way, the per-slot stats make the heterogeneous split visible,
+ *    and they sum to the epoch totals. A job no enabled
  *    backend can take fails loudly at submission with its index and
  *    shape.
  *  - Shards wait in **per-backend dispatch queues**, not FIFO: each
@@ -37,10 +40,10 @@
  *    deadline, then submission order. TicketOptions carries the
  *    priority, deadline and tag; with no options every ticket is class
  *    0 with no deadline and dispatch degrades to exact FIFO. Deadline
- *    misses are counted per backend (ChannelStats/BackendStats
- *    ::deadlineMisses) and summed into BatchStats::deadlineMisses.
+ *    misses are counted per slot (ChannelStats::deadlineMisses) and
+ *    summed into BatchStats::deadlineMisses.
  *  - Tickets can be **cancelled**: queued shards are dropped (and
- *    accounted per backend as ChannelStats::cancelled), in-flight
+ *    accounted per slot as ChannelStats::cancelled), in-flight
  *    device-channel shards stop starting jobs at their next lane-group
  *    boundary, and the ticket still completes — wait() returns, the
  *    completion callback fires once, and results() holds a partial
@@ -280,7 +283,11 @@ struct BatchConfig
     bool preemption = false;
 };
 
-/** One backend's section of an epoch/ticket accounting. */
+/**
+ * One backend's section of an epoch/ticket accounting: the device
+ * channels' slots merged (busy cycles are their makespan), or one
+ * baseline slot. Derived by backendSections() for printing and the wire.
+ */
 struct BackendStats
 {
     const char *name = "device";
@@ -297,53 +304,71 @@ struct BackendStats
 /** Aggregate outcome of one ticket / drained epoch. */
 struct BatchStats
 {
+    /** Trailing non-device slots: the CPU baseline, then the GPU model. */
+    static constexpr size_t kBaselineSlots = 2;
+
     /** Resolved host SIMD tier the device channels dispatched to
      *  (isaTierName: "scalar", "sse2", "avx2", "avx512"). */
     const char *isaTier = "";
-    std::vector<ChannelStats> channels; //!< device channels
-    ChannelStats cpu;                   //!< CPU-fallback backend totals
-    ChannelStats gpu;                   //!< modeled GPU backend totals
-    /** Per-backend sections (derived by finalizeBatchStats); their
-     *  alignments, cancelled and totalCycles sum to the epoch totals
-     *  below. */
-    std::vector<BackendStats> backends;
+    /**
+     * Accounting per dispatch slot, in slot order: the NK device
+     * channels, then the CPU baseline (index NK), then the GPU model
+     * (index NK + 1). Empty until accumulated into; every ticket and
+     * drain() reports all NK + 2.
+     */
+    std::vector<ChannelStats> slots;
     uint64_t makespanCycles = 0; //!< slowest device channel's busy cycles
-    uint64_t totalCycles = 0;    //!< sum over all alignments, all backends
+    uint64_t totalCycles = 0;    //!< sum over all alignments, all slots
     int alignments = 0;          //!< jobs that actually ran
     int cancelled = 0;           //!< jobs dropped by a ticket cancel()
     int deadlineMisses = 0;      //!< jobs completed past their deadline
     int preemptions = 0;         //!< shards that yielded mid-flight
-    double seconds = 0;          //!< slowest backend section's wall time
+    double seconds = 0;          //!< slowest slot's busy time at its clock
     double alignsPerSec = 0;
     double cyclesPerAlign = 0;
     /** Path-level statistics summed over every traceback in the epoch. */
     core::AlignmentStats paths;
+
+    /** Device channels among the slots (NK; 0 while empty). */
+    size_t
+    deviceSlots() const
+    {
+        return slots.size() > kBaselineSlots ? slots.size() - kBaselineSlots
+                                             : 0;
+    }
 };
-
-/** Round-robin shard of @p jobs job indices over @p channels channels. */
-std::vector<std::vector<int>> shardRoundRobin(int jobs, int channels);
-
-/** Round-robin shard of explicit job indices over @p channels channels. */
-std::vector<std::vector<int>>
-shardIndicesRoundRobin(const std::vector<int> &indices, int channels);
 
 /** Sum the counting fields of @p add into @p into. */
 void mergePathStats(core::AlignmentStats &into,
                     const core::AlignmentStats &add);
 
 /**
- * Fill the derived fields (backend sections, makespan, totals, seconds,
- * throughput) of @p stats from its per-channel and CPU accounting.
+ * Fill the derived fields (makespan, totals, seconds, throughput) of
+ * @p stats from its slots. Device slots count cycles at @p fmax_mhz,
+ * the CPU slot at @p cpu_mhz (0 = no wall time) and the GPU slot at the
+ * GPU model's clock.
  */
 void finalizeBatchStats(BatchStats &stats, double fmax_mhz,
                         double cpu_mhz = 0);
 
 /**
- * Sum @p add's raw accounting (channels, cpu, paths) into @p into;
- * the caller re-finalizes afterwards. Channel busy cycles add up as
- * sequential per-batch makespans.
+ * Sum @p add's raw accounting (slots, paths) into @p into, growing a
+ * default-constructed @p into to @p add's slots; the caller
+ * re-finalizes afterwards. Slot busy cycles add up as sequential
+ * per-batch makespans.
  */
 void accumulateBatchStats(BatchStats &into, const BatchStats &add);
+
+/**
+ * The device/CPU/GPU sections of @p stats, clocked as in
+ * finalizeBatchStats(). The device section is always present; a
+ * baseline section only once it aligned or cancelled a job. Their
+ * alignments, cancelled, deadline misses and totalCycles sum to the
+ * epoch totals.
+ */
+std::vector<BackendStats> backendSections(const BatchStats &stats,
+                                          double fmax_mhz,
+                                          double cpu_mhz = 0);
 
 template <core::KernelSpec K>
 class StreamPipeline;
@@ -561,9 +586,6 @@ class DispatchCore
         return a.seq < b.seq;
     }
 
-    /** The ticket-stats bucket slot @p s accounts into. */
-    ChannelStats &acctFor(BatchTicket<K> &ticket, int s);
-
     /**
      * Drop every queued shard of @p ticket, accounting the dropped jobs
      * as cancelled on the backend they were queued for and retiring
@@ -712,17 +734,6 @@ class BatchTicket
 namespace detail {
 
 template <core::KernelSpec K>
-ChannelStats &
-DispatchCore<K>::acctFor(BatchTicket<K> &ticket, int s)
-{
-    if (s < _nk)
-        return ticket._stats.channels[static_cast<size_t>(s)];
-    if (s == _nk)
-        return ticket._stats.cpu;
-    return ticket._stats.gpu;
-}
-
-template <core::KernelSpec K>
 void
 DispatchCore<K>::dropTicket(BatchTicket<K> &ticket)
 {
@@ -749,7 +760,7 @@ DispatchCore<K>::dropTicket(BatchTicket<K> &ticket)
         noteCompleted(s, dropped.estSeconds);
         // No writer race: the entry is out of its queue, so no worker
         // will account this (ticket, slot) bucket concurrently.
-        acctFor(ticket, s).cancelled +=
+        ticket._stats.slots[static_cast<size_t>(s)].cancelled +=
             static_cast<int>(dropped.indices.size());
         finishShard(ticket);
     }
@@ -838,8 +849,8 @@ class StreamPipeline
             _cfg.agingEvery);
         const int baseline_width = std::max(
             1, _cfg.cpuThreads > 0 ? _cfg.cpuThreads : _cfg.threads);
-        _core->slot(_core->cpuSlot()).capacity = baseline_width;
-        _core->slot(_core->gpuSlot()).capacity = baseline_width;
+        for (int s = _cfg.nk; s < _core->slotCount(); s++)
+            _core->slot(s).capacity = baseline_width;
         sim::EngineConfig ecfg;
         ecfg.numPe = _cfg.npe;
         ecfg.bandWidth = _cfg.bandWidth;
@@ -851,27 +862,26 @@ class StreamPipeline
         // Resolve now so an unsupported explicit tier fails at
         // construction, not on the first aligned batch.
         _resolvedTier = sim::resolveIsaTier(_cfg.isaTier);
-        _channels.reserve(static_cast<size_t>(_cfg.nk));
+        _backends.resize(static_cast<size_t>(_core->slotCount()));
         for (int c = 0; c < _cfg.nk; c++) {
-            _channels.push_back(std::make_unique<ChannelBackend<K>>(
-                ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
-                _cfg.fmaxMhz, &_cache, _cfg.laneWidth, _cfg.intraPairSimd,
-                _cfg.intraPairSimdMinLen));
+            _backends[static_cast<size_t>(c)] =
+                std::make_unique<ChannelBackend<K>>(
+                    ecfg, _params, _cfg.nb, _cfg.hostOverheadCycles,
+                    _cfg.fmaxMhz, &_cache, _cfg.laneWidth,
+                    _cfg.intraPairSimd, _cfg.intraPairSimdMinLen);
         }
         if (_cfg.cpuFallback) {
-            const int cpu_threads = _cfg.cpuThreads > 0 ? _cfg.cpuThreads
-                                                        : _cfg.threads;
-            _cpu = std::make_unique<CpuBaselineBackend<K>>(
-                _params, _cfg.bandWidth, _cfg.cpuEquivalentMhz,
-                cpu_threads, _cfg.skipTraceback,
-                _cfg.cpuModeledCellsPerSec);
+            _backends[static_cast<size_t>(_core->cpuSlot())] =
+                std::make_unique<CpuBaselineBackend<K>>(
+                    _params, _cfg.bandWidth, _cfg.cpuEquivalentMhz,
+                    baseline_width, _cfg.skipTraceback,
+                    _cfg.cpuModeledCellsPerSec);
         }
         if (_cfg.gpuModel && GpuModelBackend<K>::covered()) {
-            const int gpu_threads = _cfg.cpuThreads > 0 ? _cfg.cpuThreads
-                                                        : _cfg.threads;
-            _gpu = std::make_unique<GpuModelBackend<K>>(
-                _params, _cfg.bandWidth, gpu_threads,
-                _cfg.skipTraceback);
+            _backends[static_cast<size_t>(_core->gpuSlot())] =
+                std::make_unique<GpuModelBackend<K>>(
+                    _params, _cfg.bandWidth, baseline_width,
+                    _cfg.skipTraceback);
         }
     }
 
@@ -1020,7 +1030,8 @@ class StreamPipeline
 
         BatchStats agg;
         agg.isaTier = sim::isaTierName(_resolvedTier);
-        agg.channels.assign(static_cast<size_t>(_cfg.nk), ChannelStats{});
+        agg.slots.assign(static_cast<size_t>(_core->slotCount()),
+                         ChannelStats{});
         for (const auto &t : drained) {
             awaitTicket(*t);
             accumulateBatchStats(agg, t->_stats);
@@ -1042,7 +1053,9 @@ class StreamPipeline
     /**
      * Admission view: modeled completion time (seconds from now) of
      * routing @p jobs onto the current backlog with the configured
-     * dispatch policy — the routing's worst slot, i.e. each used slot's
+     * dispatch policy and @p options (the deadline the ticket will be
+     * submitted with steers cost-model routing, so the estimate must
+     * see it too) — the routing's worst slot, i.e. each used slot's
      * live queued-seconds signal plus the work this batch would add to
      * it. Deadline-aware admission control (serve/admission.hh) rejects
      * a ticket at submit when this estimate already exceeds its
@@ -1054,29 +1067,22 @@ class StreamPipeline
      * reserveCompletion() when the answer gates admission.
      */
     double
-    estimateCompletionSeconds(const std::vector<Job> &jobs) const
+    estimateCompletionSeconds(const std::vector<Job> &jobs,
+                              const TicketOptions &options = {}) const
     {
-        const Routing r = route(jobs, TicketOptions{});
+        const Routing r = route(jobs, options);
         double worst = 0;
-        for (int c = 0; c < _cfg.nk; c++) {
-            if (!r.shards[static_cast<size_t>(c)].empty())
-                worst = std::max(worst,
-                                 _core->queuedSeconds(c) +
-                                     r.shardEst[static_cast<size_t>(c)]);
+        for (int s = 0; s < _core->slotCount(); s++) {
+            const size_t k = static_cast<size_t>(s);
+            if (!r.shards[k].empty())
+                worst = std::max(worst, _core->queuedSeconds(s) + r.est[k]);
         }
-        if (!r.cpu.empty())
-            worst = std::max(worst, _core->queuedSeconds(
-                                        _core->cpuSlot()) +
-                                        r.cpuEst);
-        if (!r.gpu.empty())
-            worst = std::max(worst, _core->queuedSeconds(
-                                        _core->gpuSlot()) +
-                                        r.gpuEst);
         return worst;
     }
 
     /**
-     * Reserving admission view: route @p jobs, book their per-slot
+     * Reserving admission view: route @p jobs as a ticket with
+     * @p options would be routed, book their per-slot
      * estimates into the live backlog signal, and return a reservation
      * whose estimateSeconds() is the modeled completion time *given
      * every earlier booking*. Unlike estimateCompletionSeconds() this
@@ -1092,22 +1098,18 @@ class StreamPipeline
      * booking nothing.
      */
     AdmissionReservation
-    reserveCompletion(const std::vector<Job> &jobs)
+    reserveCompletion(const std::vector<Job> &jobs,
+                      const TicketOptions &options = {})
     {
-        const Routing r = route(jobs, TicketOptions{});
+        const Routing r = route(jobs, options);
         std::vector<std::pair<int, double>> booked;
-        auto book = [&](int s, double est, bool used) {
-            if (!used)
-                return;
-            _core->noteEnqueued(s, est);
-            booked.emplace_back(s, est);
-        };
-        for (int c = 0; c < _cfg.nk; c++) {
-            book(c, r.shardEst[static_cast<size_t>(c)],
-                 !r.shards[static_cast<size_t>(c)].empty());
+        for (int s = 0; s < _core->slotCount(); s++) {
+            const size_t k = static_cast<size_t>(s);
+            if (r.shards[k].empty())
+                continue;
+            _core->noteEnqueued(s, r.est[k]);
+            booked.emplace_back(s, r.est[k]);
         }
-        book(_core->cpuSlot(), r.cpuEst, !r.cpu.empty());
-        book(_core->gpuSlot(), r.gpuEst, !r.gpu.empty());
 
         // Read the backlog *after* booking: the loaded value includes
         // this batch's own work plus every reservation booked before it
@@ -1189,7 +1191,7 @@ class StreamPipeline
     bool
     routeToCpu(const Job &job) const
     {
-        if (!_cpu)
+        if (!_backends[static_cast<size_t>(_core->cpuSlot())])
             return false;
         const int qlen = job.query.length();
         const int rlen = job.reference.length();
@@ -1212,13 +1214,16 @@ class StreamPipeline
             ") and no fallback backend is enabled");
     }
 
-    /** Routing outcome of one batch: per-channel shards + CPU/GPU. */
+    /** Routing outcome of one batch, per dispatch slot. */
     struct Routing
     {
-        std::vector<std::vector<int>> shards;
-        std::vector<int> cpu, gpu;
-        std::vector<double> shardEst; //!< per-channel estimated seconds
-        double cpuEst = 0, gpuEst = 0;
+        explicit Routing(int slots)
+            : shards(static_cast<size_t>(slots)),
+              est(static_cast<size_t>(slots), 0.0)
+        {}
+
+        std::vector<std::vector<int>> shards; //!< job indices per slot
+        std::vector<double> est; //!< per-slot estimated seconds
     };
 
     /**
@@ -1232,53 +1237,39 @@ class StreamPipeline
     Routing
     routeThreshold(const std::vector<Job> &jobs) const
     {
-        Routing r;
-        std::vector<int> device_idx;
-        device_idx.reserve(jobs.size());
+        Routing r(_core->slotCount());
+        const size_t gpu = static_cast<size_t>(_core->gpuSlot());
+        int next_channel = 0;
         for (int i = 0; i < static_cast<int>(jobs.size()); i++) {
             const Job &job = jobs[static_cast<size_t>(i)];
             const bool oversized =
                 job.query.length() > _cfg.maxQueryLength ||
                 job.reference.length() > _cfg.maxReferenceLength;
             if (routeToCpu(job)) {
-                r.cpu.push_back(i);
+                r.shards[static_cast<size_t>(_core->cpuSlot())].push_back(i);
             } else if (oversized) {
-                if (_gpu)
-                    r.gpu.push_back(i);
-                else
+                if (!_backends[gpu])
                     throwUndispatchable(i, job);
+                r.shards[gpu].push_back(i);
             } else {
-                device_idx.push_back(i);
+                r.shards[static_cast<size_t>(next_channel)].push_back(i);
+                next_channel = (next_channel + 1) % _cfg.nk;
             }
         }
-        r.shards = shardIndicesRoundRobin(device_idx, _cfg.nk);
         // Threshold routing ignores estimates for its *decisions*, but
         // the queued-work signal the estimates feed (noteEnqueued /
         // estimateCompletionSeconds / reserveCompletion) must be real
         // under every dispatch policy — admission control against a
         // permanently-zero backlog admits everything
         // (tests/test_admission_reserve.cc).
-        r.shardEst.assign(r.shards.size(), 0.0);
-        for (size_t c = 0; c < r.shards.size(); c++) {
-            if (r.shards[c].empty())
+        for (size_t s = 0; s < r.shards.size(); s++) {
+            if (r.shards[s].empty())
                 continue;
-            r.shardEst[c] = _channels[0]->batchOverheadSeconds();
-            for (int i : r.shards[c])
-                r.shardEst[c] +=
-                    _channels[0]->estimate(jobs[static_cast<size_t>(i)])
+            r.est[s] = _backends[s]->batchOverheadSeconds();
+            for (int i : r.shards[s])
+                r.est[s] +=
+                    _backends[s]->estimate(jobs[static_cast<size_t>(i)])
                         .seconds;
-        }
-        if (!r.cpu.empty()) {
-            r.cpuEst = _cpu->batchOverheadSeconds();
-            for (int i : r.cpu)
-                r.cpuEst +=
-                    _cpu->estimate(jobs[static_cast<size_t>(i)]).seconds;
-        }
-        if (!r.gpu.empty()) {
-            r.gpuEst = _gpu->batchOverheadSeconds();
-            for (int i : r.gpu)
-                r.gpuEst +=
-                    _gpu->estimate(jobs[static_cast<size_t>(i)]).seconds;
         }
         return r;
     }
@@ -1288,8 +1279,8 @@ class StreamPipeline
      * (each device channel, the CPU backend, the GPU model) with the
      * lowest estimated completion time — the slot's live queued-work
      * signal, plus work routed earlier in this same batch, plus the
-     * job's service estimate. Ties prefer the device (its estimates
-     * are exact; the baselines' are learned or modeled).
+     * job's service estimate. Ties prefer the lower slot, so the device
+     * (its estimates are exact; the baselines' are learned or modeled).
      *
      * With a ticket deadline the argmin is deadline-aware: among slots
      * whose estimated completion beats the remaining deadline budget,
@@ -1313,129 +1304,79 @@ class StreamPipeline
                          .count());
         }
 
-        Routing r;
-        r.shards.assign(static_cast<size_t>(_cfg.nk), {});
-        r.shardEst.assign(static_cast<size_t>(_cfg.nk), 0.0);
-        std::vector<double> ch_queued(static_cast<size_t>(_cfg.nk), 0.0);
-        for (int c = 0; c < _cfg.nk; c++)
-            ch_queued[static_cast<size_t>(c)] = _core->queuedSeconds(c);
-        const double cpu_queued =
-            _cpu ? _core->queuedSeconds(_core->cpuSlot()) : 0;
-        const double gpu_queued =
-            _gpu ? _core->queuedSeconds(_core->gpuSlot()) : 0;
-        // Per-shard fixed costs (the GPU model's kernel launch): paid
-        // by the first job routed to the slot in this batch, so small
-        // batches see the true marginal cost of waking a backend.
-        const double dev_overhead = _channels[0]->batchOverheadSeconds();
-        const double cpu_overhead =
-            _cpu ? _cpu->batchOverheadSeconds() : 0;
-        const double gpu_overhead =
-            _gpu ? _gpu->batchOverheadSeconds() : 0;
+        const int slots = _core->slotCount();
+        Routing r(slots);
+        // Per slot: the live backlog, and the per-shard fixed cost (the
+        // GPU model's kernel launch) paid by the first job routed to the
+        // slot in this batch, so small batches see the true marginal
+        // cost of waking a backend.
+        std::vector<double> queued(static_cast<size_t>(slots), 0.0);
+        std::vector<double> overhead(static_cast<size_t>(slots), 0.0);
+        for (size_t s = 0; s < queued.size(); s++) {
+            if (!_backends[s])
+                continue;
+            queued[s] = _core->queuedSeconds(static_cast<int>(s));
+            overhead[s] = _backends[s]->batchOverheadSeconds();
+        }
+        std::vector<CostEstimate> est(static_cast<size_t>(slots));
+        std::vector<double> total(static_cast<size_t>(slots));
 
         for (int i = 0; i < static_cast<int>(jobs.size()); i++) {
             const Job &job = jobs[static_cast<size_t>(i)];
             // All device channels share one configuration, so one
             // estimate covers them; the choice between channels is
             // purely their backlog.
-            const CostEstimate dev = _channels[0]->estimate(job);
-            const CostEstimate cpu_est =
-                _cpu ? _cpu->estimate(job) : CostEstimate{0, false};
-            const CostEstimate gpu_est =
-                _gpu ? _gpu->estimate(job) : CostEstimate{0, false};
-
-            int best_channel = -1;
+            const CostEstimate dev = _backends[0]->estimate(job);
+            int target = -1;
+            int first_feasible = -1;
             double best = inf;
-            if (dev.feasible) {
-                for (int c = 0; c < _cfg.nk; c++) {
-                    const double first =
-                        r.shards[static_cast<size_t>(c)].empty()
-                            ? dev_overhead
-                            : 0;
-                    const double t = ch_queued[static_cast<size_t>(c)] +
-                                     r.shardEst[static_cast<size_t>(c)] +
-                                     dev.seconds + first;
-                    if (t < best) {
-                        best = t;
-                        best_channel = c;
-                    }
+            for (int s = 0; s < slots; s++) {
+                const size_t k = static_cast<size_t>(s);
+                est[k] = s < _cfg.nk ? dev
+                         : _backends[k] ? _backends[k]->estimate(job)
+                                        : CostEstimate{0, false};
+                total[k] = inf;
+                if (!est[k].feasible)
+                    continue;
+                if (first_feasible < 0)
+                    first_feasible = s;
+                total[k] = queued[k] + r.est[k] + est[k].seconds +
+                           (r.shards[k].empty() ? overhead[k] : 0);
+                if (total[k] < best) {
+                    best = total[k];
+                    target = s;
                 }
             }
-            const double dev_total = best;
-            const double cpu_first = r.cpu.empty() ? cpu_overhead : 0;
-            const double gpu_first = r.gpu.empty() ? gpu_overhead : 0;
-            const double cpu_total =
-                cpu_est.feasible
-                    ? cpu_queued + r.cpuEst + cpu_est.seconds + cpu_first
-                    : inf;
-            const double gpu_total =
-                gpu_est.feasible
-                    ? gpu_queued + r.gpuEst + gpu_est.seconds + gpu_first
-                    : inf;
-            enum { Device, Cpu, Gpu } target = Device;
-            if (cpu_total < best) {
-                best = cpu_total;
-                target = Cpu;
-            }
-            if (gpu_total < best) {
-                best = gpu_total;
-                target = Gpu;
-            }
-            if (!dev.feasible && target == Device) {
-                if (cpu_est.feasible) {
-                    target = Cpu;
-                } else if (gpu_est.feasible) {
-                    target = Gpu;
-                } else {
+            if (target < 0) {
+                if (first_feasible < 0)
                     throwUndispatchable(i, job);
-                }
+                target = first_feasible;
             }
             if (deadline_budget < inf) {
                 // Deadline-aware override: cheapest service cost among
-                // the slots that still meet the deadline (iteration
-                // order keeps the device-first tie preference).
+                // the slots that still meet the deadline (slot order
+                // keeps the device-first tie preference; the channels
+                // share one cost, so among them the earliest completion
+                // wins).
                 double best_cost = inf;
-                int met = -1;
-                if (dev.feasible && dev_total <= deadline_budget) {
-                    best_cost = dev.seconds;
-                    met = Device;
+                for (int s = 0; s < slots; s++) {
+                    const size_t k = static_cast<size_t>(s);
+                    if (!est[k].feasible || total[k] > deadline_budget)
+                        continue;
+                    const bool sooner_channel =
+                        s < _cfg.nk && est[k].seconds == best_cost &&
+                        total[k] < total[static_cast<size_t>(target)];
+                    if (est[k].seconds < best_cost || sooner_channel) {
+                        best_cost = est[k].seconds;
+                        target = s;
+                    }
                 }
-                if (cpu_est.feasible && cpu_total <= deadline_budget &&
-                    cpu_est.seconds < best_cost) {
-                    best_cost = cpu_est.seconds;
-                    met = Cpu;
-                }
-                if (gpu_est.feasible && gpu_total <= deadline_budget &&
-                    gpu_est.seconds < best_cost) {
-                    best_cost = gpu_est.seconds;
-                    met = Gpu;
-                }
-                if (met == Device)
-                    target = Device;
-                else if (met == Cpu)
-                    target = Cpu;
-                else if (met == Gpu)
-                    target = Gpu;
             }
-            switch (target) {
-              case Device: {
-                auto &shard = r.shards[static_cast<size_t>(best_channel)];
-                if (shard.empty())
-                    r.shardEst[static_cast<size_t>(best_channel)] +=
-                        dev_overhead;
-                shard.push_back(i);
-                r.shardEst[static_cast<size_t>(best_channel)] +=
-                    dev.seconds;
-                break;
-              }
-              case Cpu:
-                r.cpu.push_back(i);
-                r.cpuEst += cpu_est.seconds + cpu_first;
-                break;
-              case Gpu:
-                r.gpu.push_back(i);
-                r.gpuEst += gpu_est.seconds + gpu_first;
-                break;
-            }
+            const size_t t = static_cast<size_t>(target);
+            if (r.shards[t].empty())
+                r.est[t] += overhead[t];
+            r.shards[t].push_back(i);
+            r.est[t] += est[t].seconds;
         }
         return r;
     }
@@ -1470,8 +1411,8 @@ class StreamPipeline
         ticket->_cycles.assign(static_cast<size_t>(n), 0);
         ticket->_completed.assign(static_cast<size_t>(n), 0);
         ticket->_stats.isaTier = sim::isaTierName(_resolvedTier);
-        ticket->_stats.channels.assign(static_cast<size_t>(_cfg.nk),
-                                       ChannelStats{});
+        ticket->_stats.slots.assign(static_cast<size_t>(_core->slotCount()),
+                                    ChannelStats{});
 
         // Collect (slot, shard, estimate) triples for every non-empty
         // shard the routing produced.
@@ -1490,12 +1431,10 @@ class StreamPipeline
             e.seq = seq;
             entries.emplace_back(slot, std::move(e));
         };
-        for (int c = 0; c < _cfg.nk; c++) {
-            addEntry(c, std::move(routing.shards[static_cast<size_t>(c)]),
-                     routing.shardEst[static_cast<size_t>(c)]);
+        for (int s = 0; s < _core->slotCount(); s++) {
+            addEntry(s, std::move(routing.shards[static_cast<size_t>(s)]),
+                     routing.est[static_cast<size_t>(s)]);
         }
-        addEntry(_core->cpuSlot(), std::move(routing.cpu), routing.cpuEst);
-        addEntry(_core->gpuSlot(), std::move(routing.gpu), routing.gpuEst);
 
         ticket->_pending = static_cast<int>(entries.size());
         {
@@ -1573,7 +1512,7 @@ class StreamPipeline
             }
             if (!start) {
                 _core->noteCompleted(s, entry.estSeconds);
-                _core->acctFor(*entry.ticket, s).cancelled +=
+                entry.ticket->_stats.slots[static_cast<size_t>(s)].cancelled +=
                     static_cast<int>(entry.indices.size());
                 _core->finishShard(*entry.ticket);
                 continue;
@@ -1609,14 +1548,8 @@ class StreamPipeline
     {
         using Clock = typename Core::Clock;
         BatchTicket<K> &ticket = *entry.ticket;
-        AlignBackend<K> *backend;
-        if (s < _cfg.nk)
-            backend = _channels[static_cast<size_t>(s)].get();
-        else if (s == _core->cpuSlot())
-            backend = _cpu.get();
-        else
-            backend = _gpu.get();
-        ChannelStats &acct = _core->acctFor(ticket, s);
+        AlignBackend<K> *backend = _backends[static_cast<size_t>(s)].get();
+        ChannelStats &acct = ticket._stats.slots[static_cast<size_t>(s)];
 
         // Only device channels are preemptible: a CPU/GPU slot runs
         // several shards at once, so it has no single running shard.
@@ -1727,12 +1660,11 @@ class StreamPipeline
     DebugMutex _outstandingMutex{lockrank::kOutstanding, "outstanding"};
     std::vector<Ticket> _outstanding; //!< submitted, not yet retired
     std::shared_ptr<Core> _core;      //!< shared with issued tickets
-    std::vector<std::unique_ptr<AlignBackend<K>>> _channels;
-    std::unique_ptr<CpuBaselineBackend<K>> _cpu;
-    std::unique_ptr<GpuModelBackend<K>> _gpu;
+    /** One backend per dispatch slot; null for a disabled CPU/GPU. */
+    std::vector<std::unique_ptr<AlignBackend<K>>> _backends;
     // Declared last: ~ThreadPool drains every queued shard task, so the
-    // pool must be destroyed before the channels/backends those tasks
-    // reference (pipeline destroyed with in-flight tickets).
+    // pool must be destroyed before the backends those tasks reference
+    // (pipeline destroyed with in-flight tickets).
     ThreadPool _pool;
 };
 

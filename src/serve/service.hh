@@ -90,11 +90,7 @@ class AlignService
     AlignService(host::BatchConfig pipeline_cfg, ServiceConfig cfg = {})
         : _cfg(cfg), _pipeline(pipeline_cfg),
           _quotas(cfg.maxInFlightJobsPerTenant)
-    {
-        _epoch.channels.assign(
-            static_cast<size_t>(_pipeline.config().nk),
-            host::ChannelStats{});
-    }
+    {}
 
     Pipeline &pipeline() { return _pipeline; }
     const ServiceConfig &config() const { return _cfg; }
@@ -147,8 +143,9 @@ class AlignService
         reapCompleted();
         std::lock_guard lk(_statsMutex);
         host::BatchStats epoch = _epoch;
-        host::finalizeBatchStats(epoch, _pipeline.config().fmaxMhz,
-                                 _pipeline.config().cpuEquivalentMhz);
+        const double fmax = _pipeline.config().fmaxMhz;
+        const double cpu_mhz = _pipeline.config().cpuEquivalentMhz;
+        host::finalizeBatchStats(epoch, fmax, cpu_mhz);
         ServeStats s;
         s.acceptedRequests = _acceptedRequests;
         s.rejectedDeadline = _rejectedDeadline;
@@ -162,7 +159,7 @@ class AlignService
         s.makespanCycles = epoch.makespanCycles;
         s.alignsPerSec = epoch.alignsPerSec;
         s.isaTier = sim::isaTierName(_pipeline.activeIsaTier());
-        for (const auto &b : epoch.backends) {
+        for (const auto &b : host::backendSections(epoch, fmax, cpu_mhz)) {
             WireBackendStats wb;
             wb.name = b.name;
             wb.clockMhz = b.clockMhz;
@@ -316,17 +313,30 @@ class AlignService
             return;
         }
 
+        host::TicketOptions topt;
+        if (req.deadlineMicros > 0) {
+            topt = host::TicketOptions::afterMs(
+                priorityOf(req.trafficClass),
+                static_cast<double>(req.deadlineMicros) * 1e-3,
+                req.tenant);
+        } else {
+            topt.priority = priorityOf(req.trafficClass);
+            topt.tag = req.tenant;
+        }
+
         // Reserve-on-estimate: the reservation holds the request's
         // routed work in the backlog signal until it either commits
         // into the submitted ticket or releases on a reject below —
         // concurrent sessions therefore see each other's admitted-but-
         // not-yet-submitted work and cannot double-book a free slot.
+        // It routes with the ticket's own options, so it books the
+        // slots the submitted ticket lands on.
         const double budget =
             static_cast<double>(req.deadlineMicros) * 1e-6;
         host::AdmissionReservation reservation;
         if (req.deadlineMicros > 0 && _cfg.admission.enabled) {
             try {
-                reservation = _pipeline.reserveCompletion(jobs);
+                reservation = _pipeline.reserveCompletion(jobs, topt);
             } catch (const std::invalid_argument &e) {
                 _quotas.release(req.tenant, njobs);
                 {
@@ -352,17 +362,6 @@ class AlignService
                            std::to_string(budget) + " s");
                 return;
             }
-        }
-
-        host::TicketOptions topt;
-        if (req.deadlineMicros > 0) {
-            topt = host::TicketOptions::afterMs(
-                priorityOf(req.trafficClass),
-                static_cast<double>(req.deadlineMicros) * 1e-3,
-                req.tenant);
-        } else {
-            topt.priority = priorityOf(req.trafficClass);
-            topt.tag = req.tenant;
         }
 
         const std::string tenant = req.tenant;

@@ -11,8 +11,10 @@
  *
  * Also locked here: release() restores the backlog counters exactly
  * (a fresh reservation on the drained pipeline sees the same estimate
- * as the very first one), and committing via submit() never
- * double-counts once the ticket completes.
+ * as the very first one), committing via submit() never
+ * double-counts once the ticket completes, and a reservation routes
+ * with the ticket's own options, so it books the slot the ticket runs
+ * on.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "host/stream_pipeline.hh"
+#include "kernels/local_affine.hh"
 #include "kernels/semi_global.hh"
 #include "seq/read_simulator.hh"
 
@@ -209,7 +212,58 @@ TEST(AdmissionReserve, ThresholdEstimateSeesTheSlotTheTicketLandsOn)
 
     pipeline.resume();
     const auto stats = pipeline.collect(probe);
-    EXPECT_EQ(stats.channels[0].alignments, 1); // it really landed there
+    EXPECT_EQ(stats.slots[0].alignments, 1); // it really landed there
     for (auto &t : backlog)
-        EXPECT_EQ(pipeline.collect(t).channels[0].alignments, 1);
+        EXPECT_EQ(pipeline.collect(t).slots[0].alignments, 1);
+}
+
+TEST(AdmissionReserve, CostModelReservationBooksTheSlotTheDeadlineTicketRunsOn)
+{
+    // Under CostModel the ticket's deadline steers routing: a roomy
+    // deadline sends this 256x256 pair to the GPU model (cheaper
+    // service, later completion), while the no-deadline argmin picks
+    // the device channel. A reservation must route with the ticket's
+    // own options, or it books one slot while the ticket runs on
+    // another.
+    using LaPipeline = host::StreamPipeline<kernels::LocalAffine>;
+    host::BatchConfig cfg;
+    cfg.npe = 32;
+    cfg.nb = 1;
+    cfg.nk = 1;
+    cfg.threads = 1;
+    cfg.maxQueryLength = 512;
+    cfg.maxReferenceLength = 512;
+    cfg.dispatch = host::DispatchPolicy::CostModel;
+    cfg.gpuModel = true; // LocalAffine is GASAL2-covered: slot 2
+    LaPipeline pipeline(cfg);
+    pipeline.pause();
+
+    seq::Rng rng(321);
+    LaPipeline::Job job;
+    job.query = seq::randomDna(256, rng);
+    job.reference = seq::mutateDna(job.query, 0.1, 0.05, rng);
+    job.reference.chars.resize(256);
+    const std::vector<LaPipeline::Job> jobs{job};
+    const auto roomy = host::TicketOptions::afterMs(0, 10000.0);
+
+    const double idle_device = pipeline.estimateCompletionSeconds(jobs);
+    const double idle_gpu = pipeline.estimateCompletionSeconds(jobs, roomy);
+    ASSERT_GT(idle_gpu, idle_device); // the GPU pays its launch overhead
+
+    auto res = pipeline.reserveCompletion(jobs, roomy);
+    EXPECT_NEAR(res.estimateSeconds(), idle_gpu, 1e-6);
+    // The booking sits on the GPU slot: the device channel is idle.
+    EXPECT_NEAR(pipeline.estimateCompletionSeconds(jobs), idle_device,
+                1e-9);
+
+    auto ticket = pipeline.submit(jobs, roomy, nullptr, std::move(res));
+    EXPECT_NEAR(pipeline.estimateCompletionSeconds(jobs), idle_device,
+                1e-9);
+    pipeline.resume();
+    const auto stats = pipeline.collect(ticket);
+    EXPECT_EQ(stats.slots[2].alignments, 1); // it ran on the GPU model
+    EXPECT_EQ(stats.slots[0].alignments, 0);
+    // Completion unbooks exactly what the commit booked.
+    EXPECT_NEAR(pipeline.estimateCompletionSeconds(jobs, roomy), idle_gpu,
+                1e-9);
 }

@@ -357,12 +357,12 @@ TEST(StreamPipeline, LaneWidthIsResultAndAccountingTransparent)
         EXPECT_EQ(sstats.alignments, lstats.alignments);
         EXPECT_EQ(sstats.paths.matches, lstats.paths.matches);
         EXPECT_EQ(sstats.paths.columns, lstats.paths.columns);
-        ASSERT_EQ(sstats.channels.size(), lstats.channels.size());
-        for (size_t c = 0; c < sstats.channels.size(); c++) {
-            EXPECT_EQ(sstats.channels[c].busyCycles,
-                      lstats.channels[c].busyCycles) << c;
-            EXPECT_EQ(sstats.channels[c].totalCycles,
-                      lstats.channels[c].totalCycles) << c;
+        ASSERT_EQ(sstats.slots.size(), lstats.slots.size());
+        for (size_t c = 0; c < sstats.slots.size(); c++) {
+            EXPECT_EQ(sstats.slots[c].busyCycles,
+                      lstats.slots[c].busyCycles) << c;
+            EXPECT_EQ(sstats.slots[c].totalCycles,
+                      lstats.slots[c].totalCycles) << c;
         }
     }
 }

@@ -142,13 +142,13 @@ armedMatchesOff(int lane_width)
     EXPECT_EQ(want_stats.totalCycles, got_stats.totalCycles) << K::name;
     EXPECT_EQ(want_stats.makespanCycles, got_stats.makespanCycles)
         << K::name;
-    ASSERT_EQ(want_stats.channels.size(), got_stats.channels.size());
-    for (size_t c = 0; c < want_stats.channels.size(); c++) {
-        EXPECT_EQ(want_stats.channels[c].busyCycles,
-                  got_stats.channels[c].busyCycles)
+    ASSERT_EQ(want_stats.slots.size(), got_stats.slots.size());
+    for (size_t c = 0; c < want_stats.slots.size(); c++) {
+        EXPECT_EQ(want_stats.slots[c].busyCycles,
+                  got_stats.slots[c].busyCycles)
             << K::name << " channel " << c;
-        EXPECT_EQ(want_stats.channels[c].alignments,
-                  got_stats.channels[c].alignments)
+        EXPECT_EQ(want_stats.slots[c].alignments,
+                  got_stats.slots[c].alignments)
             << K::name << " channel " << c;
     }
     EXPECT_EQ(got_stats.preemptions, 0) << K::name;
@@ -257,7 +257,8 @@ preemptedMatchesUnpreempted(int lane_width)
     // Sections close: preemptions ride along per backend without
     // entering the jobs closure.
     int sec_preempts = 0;
-    for (const auto &b : bulk_stats.backends)
+    for (const auto &b :
+         host::backendSections(bulk_stats, host::BatchConfig{}.fmaxMhz))
         sec_preempts += b.preemptions;
     EXPECT_EQ(sec_preempts, bulk_stats.preemptions);
 }
@@ -358,7 +359,8 @@ cancelMidShardClosesEpoch(int lane_width)
         }
         // Per-backend sections close over the partial epoch.
         int sec_aligns = 0, sec_cancelled = 0;
-        for (const auto &b : stats.backends) {
+        for (const auto &b :
+             host::backendSections(stats, host::BatchConfig{}.fmaxMhz)) {
             sec_aligns += b.alignments;
             sec_cancelled += b.cancelled;
         }
@@ -420,6 +422,8 @@ TEST(Preemption, PreemptibleTicketsCoexistWithCpuFallback)
                          "hetero armed");
     EXPECT_EQ(want_stats.alignments, got_stats.alignments);
     EXPECT_EQ(want_stats.totalCycles, got_stats.totalCycles);
-    EXPECT_EQ(want_stats.cpu.alignments, got_stats.cpu.alignments);
-    EXPECT_GT(got_stats.cpu.alignments, 0);
+    const size_t cpu = got_stats.deviceSlots(); // the CPU slot
+    EXPECT_EQ(want_stats.slots[cpu].alignments,
+              got_stats.slots[cpu].alignments);
+    EXPECT_GT(got_stats.slots[cpu].alignments, 0);
 }

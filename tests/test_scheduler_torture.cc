@@ -78,7 +78,8 @@ SectionSums
 sumSections(const host::BatchStats &stats)
 {
     SectionSums s;
-    for (const auto &b : stats.backends) {
+    for (const auto &b :
+         host::backendSections(stats, host::BatchConfig{}.fmaxMhz)) {
         s.alignments += b.alignments;
         s.cancelled += b.cancelled;
         s.totalCycles += b.totalCycles;

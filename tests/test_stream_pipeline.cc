@@ -176,7 +176,8 @@ costModelMatchesThreshold()
     for (const auto *stats : {&tstats, &cstats}) {
         int aligns = 0;
         uint64_t total = 0;
-        for (const auto &b : stats->backends) {
+        for (const auto &b : host::backendSections(
+                 *stats, cfg.fmaxMhz, cfg.cpuEquivalentMhz)) {
             aligns += b.alignments;
             total += b.totalCycles;
         }
@@ -399,14 +400,16 @@ TEST(StreamPipeline, MixedDeviceCpuDispatchAccounting)
 
     // The hetero split is visible and per-backend sections sum to the
     // epoch totals.
-    ASSERT_EQ(stats.backends.size(), 2u);
-    EXPECT_STREQ(stats.backends[0].name, "device");
-    EXPECT_STREQ(stats.backends[1].name, "cpu");
-    EXPECT_EQ(stats.backends[1].alignments, 7);
-    EXPECT_EQ(stats.backends[0].alignments, 9);
+    const auto sections = host::backendSections(stats, cfg.fmaxMhz,
+                                                cfg.cpuEquivalentMhz);
+    ASSERT_EQ(sections.size(), 2u);
+    EXPECT_STREQ(sections[0].name, "device");
+    EXPECT_STREQ(sections[1].name, "cpu");
+    EXPECT_EQ(sections[1].alignments, 7);
+    EXPECT_EQ(sections[0].alignments, 9);
     int aligns = 0;
     uint64_t total = 0;
-    for (const auto &b : stats.backends) {
+    for (const auto &b : sections) {
         aligns += b.alignments;
         total += b.totalCycles;
     }
@@ -417,8 +420,9 @@ TEST(StreamPipeline, MixedDeviceCpuDispatchAccounting)
     for (const auto c : cycles)
         per_job += c;
     EXPECT_EQ(per_job, stats.totalCycles);
-    EXPECT_GT(stats.cpu.busyCycles, 0u);
-    EXPECT_LE(stats.cpu.busyCycles, stats.cpu.totalCycles);
+    const host::ChannelStats &cpu = stats.slots[2]; // after nk = 2
+    EXPECT_GT(cpu.busyCycles, 0u);
+    EXPECT_LE(cpu.busyCycles, cpu.totalCycles);
     EXPECT_GT(stats.seconds, 0.0);
     // Path stats cover CPU-routed tracebacks too.
     EXPECT_GT(stats.paths.columns, 0);
@@ -454,10 +458,10 @@ TEST(StreamPipeline, LengthSortedLaneGroupingIsObservationTransparent)
     expectSameOutputs<K>(ures, ucyc, sres, scyc, "sorted-lanes");
     EXPECT_EQ(ustats.makespanCycles, sstats.makespanCycles);
     EXPECT_EQ(ustats.totalCycles, sstats.totalCycles);
-    ASSERT_EQ(ustats.channels.size(), sstats.channels.size());
-    for (size_t c = 0; c < ustats.channels.size(); c++) {
-        EXPECT_EQ(ustats.channels[c].busyCycles,
-                  sstats.channels[c].busyCycles) << c;
+    ASSERT_EQ(ustats.slots.size(), sstats.slots.size());
+    for (size_t c = 0; c < ustats.slots.size(); c++) {
+        EXPECT_EQ(ustats.slots[c].busyCycles,
+                  sstats.slots[c].busyCycles) << c;
     }
     EXPECT_EQ(ustats.paths.matches, sstats.paths.matches);
 }
@@ -486,10 +490,9 @@ TEST(StreamPipeline, ThreadCountIsDecoupledFromChannels)
     expectSameOutputs<K>(r1, c1, r8, c8, "threads");
     EXPECT_EQ(s1.makespanCycles, s8.makespanCycles);
     EXPECT_EQ(s1.totalCycles, s8.totalCycles);
-    ASSERT_EQ(s1.channels.size(), s8.channels.size());
-    for (size_t c = 0; c < s1.channels.size(); c++) {
-        EXPECT_EQ(s1.channels[c].busyCycles, s8.channels[c].busyCycles)
-            << c;
+    ASSERT_EQ(s1.slots.size(), s8.slots.size());
+    for (size_t c = 0; c < s1.slots.size(); c++) {
+        EXPECT_EQ(s1.slots[c].busyCycles, s8.slots[c].busyCycles) << c;
     }
 }
 
@@ -561,12 +564,12 @@ expectSameAccounting(const host::BatchStats &want,
     EXPECT_EQ(want.makespanCycles, got.makespanCycles) << ctx;
     EXPECT_EQ(want.totalCycles, got.totalCycles) << ctx;
     EXPECT_EQ(want.alignments, got.alignments) << ctx;
-    ASSERT_EQ(want.channels.size(), got.channels.size()) << ctx;
-    for (size_t c = 0; c < want.channels.size(); c++) {
-        EXPECT_EQ(want.channels[c].busyCycles, got.channels[c].busyCycles)
-            << ctx << " channel " << c;
-        EXPECT_EQ(want.channels[c].alignments, got.channels[c].alignments)
-            << ctx << " channel " << c;
+    ASSERT_EQ(want.slots.size(), got.slots.size()) << ctx;
+    for (size_t c = 0; c < want.slots.size(); c++) {
+        EXPECT_EQ(want.slots[c].busyCycles, got.slots[c].busyCycles)
+            << ctx << " slot " << c;
+        EXPECT_EQ(want.slots[c].alignments, got.slots[c].alignments)
+            << ctx << " slot " << c;
     }
 }
 
@@ -813,13 +816,13 @@ TEST(StreamPipeline, ThresholdRoutesOversizedToGpuModelWhenOnlyGpuEnabled)
     std::vector<Pipeline::Result> got;
     const auto stats = pipeline.runAll(jobs, &got);
     EXPECT_EQ(stats.alignments, 5);
-    EXPECT_EQ(stats.gpu.alignments, 1);
+    EXPECT_EQ(stats.slots[3].alignments, 1); // the GPU slot, after nk = 2
     ref::MatrixAligner<K> gold(K::defaultParams(), cfg.bandWidth);
     const auto want = gold.align(jobs.back().query, jobs.back().reference);
     EXPECT_EQ(want.score, got.back().score);
     EXPECT_EQ(want.ops, got.back().ops);
     int aligns = 0;
-    for (const auto &b : stats.backends)
+    for (const auto &b : host::backendSections(stats, cfg.fmaxMhz))
         aligns += b.alignments;
     EXPECT_EQ(aligns, stats.alignments);
 }
@@ -922,7 +925,7 @@ TEST(StreamPipeline, CancelWhilePausedDropsAllShardsAndCompletes)
         EXPECT_TRUE(victim->results()[i].ops.empty()) << i;
     }
     int section_cancelled = 0;
-    for (const auto &b : stats.backends)
+    for (const auto &b : host::backendSections(stats, cfg.fmaxMhz))
         section_cancelled += b.cancelled;
     EXPECT_EQ(section_cancelled, 8);
 
@@ -1108,13 +1111,15 @@ TEST(StreamPipeline, DeadlineMissesAreCountedPerBackend)
         jobs, nullptr, nullptr, host::TicketOptions::afterMs(0, 0.0));
     EXPECT_EQ(missed.alignments, 9);
     EXPECT_EQ(missed.deadlineMisses, 9);
-    EXPECT_EQ(missed.cpu.deadlineMisses, 3);
+    const size_t nk = missed.deviceSlots();
+    EXPECT_EQ(missed.slots[nk].deadlineMisses, 3); // the CPU slot
     int device_misses = 0;
-    for (const auto &ch : missed.channels)
-        device_misses += ch.deadlineMisses;
+    for (size_t c = 0; c < nk; c++)
+        device_misses += missed.slots[c].deadlineMisses;
     EXPECT_EQ(device_misses, 6);
     int section_misses = 0;
-    for (const auto &b : missed.backends)
+    for (const auto &b : host::backendSections(missed, cfg.fmaxMhz,
+                                               cfg.cpuEquivalentMhz))
         section_misses += b.deadlineMisses;
     EXPECT_EQ(section_misses, 9);
 
@@ -1157,19 +1162,20 @@ TEST(StreamPipeline, CostModelPrefersCheapestBackendMeetingDeadline)
     jobs.push_back(std::move(j));
 
     const auto no_deadline = pipeline.runAll(jobs);
-    EXPECT_EQ(no_deadline.gpu.alignments, 0);
+    // nk = 1: slot 2 is the GPU model.
+    EXPECT_EQ(no_deadline.slots[2].alignments, 0);
     EXPECT_EQ(no_deadline.alignments, 1);
 
     const auto roomy = pipeline.runAll(
         jobs, nullptr, nullptr, host::TicketOptions::afterMs(0, 10000.0));
-    EXPECT_EQ(roomy.gpu.alignments, 1);
+    EXPECT_EQ(roomy.slots[2].alignments, 1);
     EXPECT_EQ(roomy.alignments, 1);
 
     // An unmeetable deadline falls back to earliest completion — the
     // device — rather than refusing to route.
     const auto hopeless = pipeline.runAll(
         jobs, nullptr, nullptr, host::TicketOptions::afterMs(0, 1e-6));
-    EXPECT_EQ(hopeless.gpu.alignments, 0);
+    EXPECT_EQ(hopeless.slots[2].alignments, 0);
     EXPECT_EQ(hopeless.alignments, 1);
 }
 
@@ -1226,16 +1232,19 @@ TEST(StreamPipeline, ThreeWayCostModelDispatchSumsToEpochTotals)
     // All three backends participated, and their sections sum to the
     // epoch totals exactly.
     EXPECT_EQ(stats.alignments, static_cast<int>(jobs.size()));
+    const size_t nk = stats.deviceSlots();
     int device_aligns = 0;
-    for (const auto &ch : stats.channels)
-        device_aligns += ch.alignments;
+    for (size_t c = 0; c < nk; c++)
+        device_aligns += stats.slots[c].alignments;
     EXPECT_GT(device_aligns, 0);
-    EXPECT_GT(stats.cpu.alignments, 0);
-    EXPECT_GT(stats.gpu.alignments, 0);
-    ASSERT_EQ(stats.backends.size(), 3u);
+    EXPECT_GT(stats.slots[nk].alignments, 0);     // CPU
+    EXPECT_GT(stats.slots[nk + 1].alignments, 0); // GPU
+    const auto sections = host::backendSections(stats, cfg.fmaxMhz,
+                                                cfg.cpuEquivalentMhz);
+    ASSERT_EQ(sections.size(), 3u);
     int aligns = 0;
     uint64_t total = 0;
-    for (const auto &b : stats.backends) {
+    for (const auto &b : sections) {
         aligns += b.alignments;
         total += b.totalCycles;
     }
@@ -1246,4 +1255,230 @@ TEST(StreamPipeline, ThreeWayCostModelDispatchSumsToEpochTotals)
         per_job += c;
     EXPECT_EQ(per_job, stats.totalCycles);
     EXPECT_GT(stats.seconds, 0.0);
+}
+
+TEST(StreamPipeline, AccumulatedTicketsFromEmptyEqualDrain)
+{
+    // The epoch path of perfbench, dphls_align and the serve daemon:
+    // fold each collected ticket into a default-constructed BatchStats,
+    // then finalize once. It must equal drain()'s aggregate slot by
+    // slot, with device, CPU and GPU slots, a cancelled ticket and a
+    // missed deadline in the epoch.
+    host::BatchConfig cfg;
+    cfg.npe = 8;
+    cfg.nb = 1;
+    cfg.nk = 4;
+    cfg.threads = 2;
+    cfg.maxQueryLength = 256;
+    cfg.maxReferenceLength = 256;
+    cfg.dispatch = host::DispatchPolicy::CostModel;
+    cfg.cpuFallback = true;
+    cfg.cpuModeledCellsPerSec = 2e8;
+    cfg.gpuModel = true;
+    Pipeline pipeline(cfg);
+
+    pipeline.pause(); // the backlog builds up, so routing spills over
+    seq::Rng rng(9300);
+    std::vector<Pipeline::Ticket> tickets;
+    for (int t = 0; t < 6; t++) {
+        auto jobs = dnaJobs(40, 9300 + static_cast<uint64_t>(t), 200);
+        Pipeline::Job big; // device-infeasible: CPU or GPU only
+        big.query = seq::randomDna(400, rng);
+        big.reference = seq::randomDna(200, rng);
+        jobs.push_back(std::move(big));
+        tickets.push_back(pipeline.submit(
+            std::move(jobs), t == 2 ? host::TicketOptions::afterMs(0, 0.0)
+                                    : host::TicketOptions{}));
+    }
+    EXPECT_TRUE(tickets[4]->cancel());
+    pipeline.resume();
+    const host::BatchStats drained = pipeline.drain();
+
+    host::BatchStats epoch;
+    for (const auto &t : tickets)
+        host::accumulateBatchStats(epoch, pipeline.collect(t));
+    host::finalizeBatchStats(epoch, cfg.fmaxMhz, cfg.cpuEquivalentMhz);
+
+    ASSERT_EQ(drained.slots.size(), 6u);
+    ASSERT_EQ(epoch.slots.size(), drained.slots.size());
+    for (size_t s = 0; s < epoch.slots.size(); s++) {
+        const auto &want = drained.slots[s];
+        const auto &got = epoch.slots[s];
+        EXPECT_EQ(want.busyCycles, got.busyCycles) << "slot " << s;
+        EXPECT_EQ(want.totalCycles, got.totalCycles) << "slot " << s;
+        EXPECT_EQ(want.alignments, got.alignments) << "slot " << s;
+        EXPECT_EQ(want.cancelled, got.cancelled) << "slot " << s;
+        EXPECT_EQ(want.deadlineMisses, got.deadlineMisses) << "slot " << s;
+        EXPECT_EQ(want.preemptions, got.preemptions) << "slot " << s;
+    }
+    int device_aligns = 0;
+    for (size_t c = 0; c < 4; c++)
+        device_aligns += epoch.slots[c].alignments;
+    EXPECT_GT(device_aligns, 0);
+    EXPECT_GT(epoch.slots[4].alignments, 0); // CPU
+    EXPECT_GT(epoch.slots[5].alignments, 0); // GPU
+    EXPECT_EQ(epoch.cancelled, 41);
+    EXPECT_EQ(epoch.deadlineMisses, 41);
+
+    EXPECT_EQ(drained.makespanCycles, epoch.makespanCycles);
+    EXPECT_EQ(drained.totalCycles, epoch.totalCycles);
+    EXPECT_EQ(drained.alignments, epoch.alignments);
+    EXPECT_EQ(drained.cancelled, epoch.cancelled);
+    EXPECT_EQ(drained.deadlineMisses, epoch.deadlineMisses);
+    EXPECT_EQ(drained.preemptions, epoch.preemptions);
+    EXPECT_EQ(drained.seconds, epoch.seconds);
+    EXPECT_EQ(drained.alignsPerSec, epoch.alignsPerSec);
+    EXPECT_EQ(drained.cyclesPerAlign, epoch.cyclesPerAlign);
+    EXPECT_EQ(drained.paths.matches, epoch.paths.matches);
+    EXPECT_EQ(drained.paths.mismatches, epoch.paths.mismatches);
+    EXPECT_EQ(drained.paths.insertions, epoch.paths.insertions);
+    EXPECT_EQ(drained.paths.deletions, epoch.paths.deletions);
+    EXPECT_EQ(drained.paths.gapOpens, epoch.paths.gapOpens);
+    EXPECT_EQ(drained.paths.columns, epoch.paths.columns);
+    EXPECT_GT(epoch.paths.columns, 0);
+}
+
+TEST(StreamPipeline, EmptyEpochFinalizesToZerosWithDeviceSlots)
+{
+    host::BatchConfig cfg;
+    cfg.npe = 8;
+    cfg.nk = 4;
+    cfg.cpuFallback = true;
+    cfg.gpuModel = true;
+    Pipeline pipeline(cfg);
+
+    const host::BatchStats drained = pipeline.drain(); // nothing submitted
+    host::BatchStats epoch;
+    host::accumulateBatchStats(epoch,
+                               pipeline.collect(pipeline.submit({})));
+    host::finalizeBatchStats(epoch, cfg.fmaxMhz, cfg.cpuEquivalentMhz);
+
+    for (const host::BatchStats *stats :
+         std::initializer_list<const host::BatchStats *>{&drained, &epoch}) {
+        ASSERT_EQ(stats->slots.size(), 6u);
+        EXPECT_EQ(stats->deviceSlots(), 4u);
+        for (const auto &slot : stats->slots) {
+            EXPECT_EQ(slot.busyCycles, 0u);
+            EXPECT_EQ(slot.totalCycles, 0u);
+            EXPECT_EQ(slot.alignments, 0);
+            EXPECT_EQ(slot.cancelled, 0);
+        }
+        EXPECT_EQ(stats->makespanCycles, 0u);
+        EXPECT_EQ(stats->totalCycles, 0u);
+        EXPECT_EQ(stats->alignments, 0);
+        EXPECT_EQ(stats->cancelled, 0);
+        EXPECT_EQ(stats->seconds, 0.0);
+        EXPECT_EQ(stats->alignsPerSec, 0.0);
+        EXPECT_EQ(stats->cyclesPerAlign, 0.0);
+        const auto sections = host::backendSections(*stats, cfg.fmaxMhz,
+                                                    cfg.cpuEquivalentMhz);
+        ASSERT_EQ(sections.size(), 1u);
+        EXPECT_STREQ(sections[0].name, "device");
+        EXPECT_EQ(sections[0].alignments, 0);
+        EXPECT_EQ(sections[0].busyCycles, 0u);
+    }
+
+    // An epoch nothing was ever accumulated into (an idle daemon's
+    // Stats frame) still reports the zero device section.
+    host::BatchStats idle;
+    host::finalizeBatchStats(idle, cfg.fmaxMhz, cfg.cpuEquivalentMhz);
+    EXPECT_EQ(idle.deviceSlots(), 0u);
+    EXPECT_EQ(idle.alignments, 0);
+    const auto sections =
+        host::backendSections(idle, cfg.fmaxMhz, cfg.cpuEquivalentMhz);
+    ASSERT_EQ(sections.size(), 1u);
+    EXPECT_STREQ(sections[0].name, "device");
+    EXPECT_DOUBLE_EQ(sections[0].clockMhz, cfg.fmaxMhz);
+}
+
+namespace {
+
+/** Mutated 80-base DNA pairs for the two-kernel tests. */
+std::vector<host::AlignmentJob<seq::DnaChar>>
+partitionJobs(int n, uint64_t seed)
+{
+    std::vector<host::AlignmentJob<seq::DnaChar>> jobs;
+    seq::Rng rng(seed);
+    for (int i = 0; i < n; i++) {
+        host::AlignmentJob<seq::DnaChar> j;
+        j.query = seq::randomDna(80, rng);
+        j.reference = seq::mutateDna(j.query, 0.1, 0.05, rng);
+        jobs.push_back(std::move(j));
+    }
+    return jobs;
+}
+
+host::BatchConfig
+partitionConfig(int nb, int nk)
+{
+    host::BatchConfig cfg;
+    cfg.npe = 8;
+    cfg.nb = nb;
+    cfg.nk = nk;
+    return cfg;
+}
+
+} // namespace
+
+TEST(StreamPipeline, ConcurrentKernelPipelinesMatchDedicatedRuns)
+{
+    // Paper Section 4 step 5: NK heterogeneous kernels linked in one
+    // design. Each kernel partition is its own pipeline; both tickets
+    // are in flight before either is collected, so the two pools run
+    // concurrently — yet every result equals a dedicated run.
+    using G = kernels::GlobalAffine;
+    using L = kernels::LocalLinear;
+    const auto jobs_g = partitionJobs(20, 91);
+    const auto jobs_l = partitionJobs(20, 92);
+
+    host::StreamPipeline<G> pipe_g(partitionConfig(2, 1));
+    host::StreamPipeline<L> pipe_l(partitionConfig(2, 1));
+    const auto ticket_g = pipe_g.submitBorrowed(jobs_g);
+    const auto ticket_l = pipe_l.submitBorrowed(jobs_l);
+    std::vector<core::AlignResult<int32_t>> res_g, res_l;
+    pipe_g.collect(ticket_g, &res_g);
+    pipe_l.collect(ticket_l, &res_l);
+
+    host::StreamPipeline<G> solo_g(partitionConfig(2, 1));
+    host::StreamPipeline<L> solo_l(partitionConfig(2, 1));
+    std::vector<core::AlignResult<int32_t>> want_g, want_l;
+    solo_g.runAll(jobs_g, &want_g);
+    solo_l.runAll(jobs_l, &want_l);
+
+    ASSERT_EQ(res_g.size(), want_g.size());
+    ASSERT_EQ(res_l.size(), want_l.size());
+    for (size_t i = 0; i < res_g.size(); i++) {
+        EXPECT_EQ(res_g[i].score, want_g[i].score);
+        EXPECT_EQ(res_g[i].ops, want_g[i].ops);
+    }
+    for (size_t i = 0; i < res_l.size(); i++)
+        EXPECT_EQ(res_l[i].score, want_l[i].score);
+}
+
+TEST(StreamPipeline, ConcurrentKernelPartitionsCombineThroughput)
+{
+    // The partitions overlap, so the design's makespan is the slower
+    // partition's, and the combined rate beats either partition alone.
+    using G = kernels::GlobalAffine;
+    using L = kernels::LocalLinear;
+    auto run = [](int nb, int nk, int n_g, uint64_t seed_g, int n_l,
+                  uint64_t seed_l) {
+        const auto jobs_g = partitionJobs(n_g, seed_g);
+        const auto jobs_l = partitionJobs(n_l, seed_l);
+        host::StreamPipeline<G> pipe_g(partitionConfig(nb, nk));
+        host::StreamPipeline<L> pipe_l(partitionConfig(nb, nk));
+        const auto ticket_g = pipe_g.submitBorrowed(jobs_g);
+        const auto ticket_l = pipe_l.submitBorrowed(jobs_l);
+        return std::make_pair(pipe_g.collect(ticket_g),
+                              pipe_l.collect(ticket_l));
+    };
+    const auto [big, small] = run(2, 1, 40, 93, 4, 94);
+    EXPECT_GT(big.makespanCycles, small.makespanCycles);
+
+    const auto [first, second] = run(2, 2, 32, 95, 32, 96);
+    const double combined =
+        (first.alignments + second.alignments) /
+        std::max(first.seconds, second.seconds);
+    EXPECT_GT(combined, first.alignsPerSec);
+    EXPECT_GT(combined, second.alignsPerSec);
 }

@@ -388,8 +388,6 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
 
     // Streaming epoch aggregation over per-ticket statistics.
     host::BatchStats epoch;
-    epoch.channels.assign(static_cast<size_t>(std::max(1, opt.nk)),
-                          host::ChannelStats{});
     using Clock = std::chrono::steady_clock;
     std::deque<std::pair<typename Pipeline::Ticket, Clock::time_point>>
         pending;
@@ -535,8 +533,10 @@ runStreaming(const Options &opt, SeqT (*decode)(const seq::FastaRecord &))
                 "this host, parse to writeback)\n",
                 wall_s, wall_s > 0 ? epoch.alignments / wall_s : 0.0,
                 wall_s > 0 ? wall_cells / wall_s / 1e9 : 0.0);
-    for (const auto &b : epoch.backends) {
-        if (epoch.backends.size() < 2 && std::strcmp(b.name, "cpu") != 0)
+    const auto sections =
+        host::backendSections(epoch, cfg.fmaxMhz, cfg.cpuEquivalentMhz);
+    for (const auto &b : sections) {
+        if (sections.size() < 2 && std::strcmp(b.name, "cpu") != 0)
             continue; // single-backend runs: skip the redundant section
         std::printf("#   backend %-6s %6d alignments, %12llu cycles "
                     "(busy %llu @ %.1f MHz)\n",
