@@ -1,27 +1,29 @@
 /**
  * @file
- * Device-model tests: NB/NK parallel scaling, arbiter behavior, result
- * consistency with the bare engine, and host-overhead accounting.
+ * Device-model tests on StreamPipeline (paper front-end step 5: NK
+ * channels x NB blocks): NB/NK scaling, arbiter behavior, result
+ * consistency with the bare engine, and host-overhead and frequency
+ * accounting.
  */
 
 #include <gtest/gtest.h>
 
-#include "host/device_model.hh"
+#include "host/stream_pipeline.hh"
 #include "kernels/all.hh"
 #include "seq/read_simulator.hh"
 
 using namespace dphls;
-using Job = host::AlignmentJob<seq::DnaChar>;
 
 namespace {
 
-std::vector<Job>
-makeJobs(int n, uint64_t seed, int len = 96)
+/** Mutated random DNA pairs truncated to @p len, for the device tests. */
+std::vector<host::AlignmentJob<seq::DnaChar>>
+deviceJobs(int n, uint64_t seed, int len = 96)
 {
-    std::vector<Job> jobs;
+    std::vector<host::AlignmentJob<seq::DnaChar>> jobs;
     seq::Rng rng(seed);
     for (int i = 0; i < n; i++) {
-        Job j;
+        host::AlignmentJob<seq::DnaChar> j;
         j.query = seq::randomDna(len, rng);
         j.reference = seq::mutateDna(j.query, 0.1, 0.05, rng);
         if (j.reference.length() > len)
@@ -31,18 +33,38 @@ makeJobs(int n, uint64_t seed, int len = 96)
     return jobs;
 }
 
+/** A throughput-only device configuration (no path statistics). */
+host::BatchConfig
+deviceConfig(int npe, int nb, int nk)
+{
+    host::BatchConfig cfg;
+    cfg.npe = npe;
+    cfg.nb = nb;
+    cfg.nk = nk;
+    cfg.collectPathStats = false;
+    return cfg;
+}
+
+/** One ticket through a fresh pipeline, submitted and collected. */
+template <typename K>
+host::BatchStats
+runDevice(const host::BatchConfig &cfg,
+          const std::vector<host::AlignmentJob<seq::DnaChar>> &jobs,
+          std::vector<typename host::StreamPipeline<K>::Result> *results =
+              nullptr)
+{
+    host::StreamPipeline<K> pipeline(cfg);
+    return pipeline.collect(pipeline.submitBorrowed(jobs), results);
+}
+
 } // namespace
 
-TEST(DeviceModel, ResultsMatchBareEngine)
+TEST(StreamPipeline, DeviceResultsMatchBareEngine)
 {
-    const auto jobs = makeJobs(24, 31);
-    host::DeviceConfig cfg;
-    cfg.npe = 16;
-    cfg.nb = 4;
-    cfg.nk = 2;
-    host::DeviceModel<kernels::GlobalAffine> device(cfg);
-    std::vector<host::DeviceModel<kernels::GlobalAffine>::Result> results;
-    device.run(jobs, &results);
+    const auto jobs = deviceJobs(24, 31);
+    std::vector<host::StreamPipeline<kernels::GlobalAffine>::Result> results;
+    runDevice<kernels::GlobalAffine>(deviceConfig(16, 4, 2), jobs,
+                                     &results);
     ASSERT_EQ(results.size(), jobs.size());
 
     sim::EngineConfig ecfg;
@@ -55,16 +77,13 @@ TEST(DeviceModel, ResultsMatchBareEngine)
     }
 }
 
-TEST(DeviceModel, ThroughputScalesWithBlocks)
+TEST(StreamPipeline, DeviceThroughputScalesWithBlocks)
 {
-    const auto jobs = makeJobs(128, 32);
+    const auto jobs = deviceJobs(128, 32);
     auto run = [&](int nb, int nk) {
-        host::DeviceConfig cfg;
-        cfg.npe = 8;
-        cfg.nb = nb;
-        cfg.nk = nk;
-        host::DeviceModel<kernels::GlobalLinear> device(cfg);
-        return device.run(jobs).alignsPerSec;
+        return runDevice<kernels::GlobalLinear>(deviceConfig(8, nb, nk),
+                                                jobs)
+            .alignsPerSec;
     };
     const double t1 = run(1, 1);
     const double t4 = run(4, 1);
@@ -74,82 +93,65 @@ TEST(DeviceModel, ThroughputScalesWithBlocks)
     EXPECT_NEAR(t16 / t1, 16.0, 2.0);
 }
 
-TEST(DeviceModel, ChannelsSplitWorkEvenly)
+TEST(StreamPipeline, DeviceChannelsSplitWorkEvenly)
 {
-    const auto jobs = makeJobs(64, 33);
-    host::DeviceConfig a;
-    a.npe = 8;
-    a.nb = 4;
-    a.nk = 1;
-    host::DeviceConfig b = a;
-    b.nb = 2;
-    b.nk = 2;
+    const auto jobs = deviceJobs(64, 33);
     // Same total blocks => nearly the same makespan.
-    host::DeviceModel<kernels::GlobalLinear> da(a), db(b);
-    const auto sa = da.run(jobs);
-    const auto sb = db.run(jobs);
+    const auto sa =
+        runDevice<kernels::GlobalLinear>(deviceConfig(8, 4, 1), jobs);
+    const auto sb =
+        runDevice<kernels::GlobalLinear>(deviceConfig(8, 2, 2), jobs);
     EXPECT_NEAR(static_cast<double>(sa.makespanCycles),
                 static_cast<double>(sb.makespanCycles),
                 0.15 * static_cast<double>(sa.makespanCycles));
 }
 
-TEST(DeviceModel, CyclesPerAlignIndependentOfParallelism)
+TEST(StreamPipeline, DeviceCyclesPerAlignIndependentOfParallelism)
 {
-    const auto jobs = makeJobs(64, 34);
+    const auto jobs = deviceJobs(64, 34);
     auto cycles = [&](int nb, int nk) {
-        host::DeviceConfig cfg;
-        cfg.npe = 8;
-        cfg.nb = nb;
-        cfg.nk = nk;
-        host::DeviceModel<kernels::GlobalLinear> device(cfg);
-        return device.run(jobs).cyclesPerAlign;
+        return runDevice<kernels::GlobalLinear>(deviceConfig(8, nb, nk),
+                                                jobs)
+            .cyclesPerAlign;
     };
     EXPECT_DOUBLE_EQ(cycles(1, 1), cycles(8, 4));
 }
 
-TEST(DeviceModel, HostOverheadLowersThroughput)
+TEST(StreamPipeline, DeviceHostOverheadLowersThroughput)
 {
-    const auto jobs = makeJobs(32, 35);
+    const auto jobs = deviceJobs(32, 35);
     auto run = [&](uint64_t overhead) {
-        host::DeviceConfig cfg;
-        cfg.npe = 8;
+        host::BatchConfig cfg = deviceConfig(8, 16, 4);
         cfg.hostOverheadCycles = overhead;
-        host::DeviceModel<kernels::GlobalLinear> device(cfg);
-        return device.run(jobs).alignsPerSec;
+        return runDevice<kernels::GlobalLinear>(cfg, jobs).alignsPerSec;
     };
     EXPECT_GT(run(0), run(4000));
 }
 
-TEST(DeviceModel, FrequencyScalesThroughput)
+TEST(StreamPipeline, DeviceFrequencyScalesThroughput)
 {
-    const auto jobs = makeJobs(32, 36);
+    const auto jobs = deviceJobs(32, 36);
     auto run = [&](double mhz) {
-        host::DeviceConfig cfg;
-        cfg.npe = 8;
+        host::BatchConfig cfg = deviceConfig(8, 16, 4);
         cfg.fmaxMhz = mhz;
-        host::DeviceModel<kernels::GlobalLinear> device(cfg);
-        return device.run(jobs).alignsPerSec;
+        return runDevice<kernels::GlobalLinear>(cfg, jobs).alignsPerSec;
     };
     EXPECT_NEAR(run(250.0) / run(125.0), 2.0, 1e-6);
 }
 
-TEST(DeviceModel, EmptyBatch)
+TEST(StreamPipeline, DeviceEmptyBatch)
 {
-    host::DeviceModel<kernels::GlobalLinear> device;
-    const auto stats = device.run({});
+    const auto stats = runDevice<kernels::GlobalLinear>(
+        deviceConfig(32, 16, 4), {});
     EXPECT_EQ(stats.alignments, 0);
     EXPECT_EQ(stats.makespanCycles, 0u);
 }
 
-TEST(DeviceModel, StatsAccounting)
+TEST(StreamPipeline, DeviceStatsAccounting)
 {
-    const auto jobs = makeJobs(16, 37);
-    host::DeviceConfig cfg;
-    cfg.npe = 8;
-    cfg.nb = 2;
-    cfg.nk = 2;
-    host::DeviceModel<kernels::GlobalLinear> device(cfg);
-    const auto stats = device.run(jobs);
+    const auto jobs = deviceJobs(16, 37);
+    const auto stats =
+        runDevice<kernels::GlobalLinear>(deviceConfig(8, 2, 2), jobs);
     EXPECT_EQ(stats.alignments, 16);
     EXPECT_GT(stats.totalCycles, 0u);
     EXPECT_GE(stats.totalCycles,

@@ -1,23 +1,28 @@
 /**
  * @file
- * Tests for heterogeneous kernel channels (paper Section 4 step 5: NK
- * heterogeneous kernels linked in one design).
+ * Tests for heterogeneous kernel partitions (paper Section 4 step 5: NK
+ * heterogeneous kernels linked in one design). Each partition is its own
+ * StreamPipeline; the two run concurrently.
  */
 
 #include <gtest/gtest.h>
 
-#include "host/hetero.hh"
+#include <utility>
+
+#include "host/stream_pipeline.hh"
 #include "kernels/global_affine.hh"
 #include "kernels/local_linear.hh"
 #include "model/resource_model.hh"
 #include "seq/read_simulator.hh"
 
 using namespace dphls;
+using namespace dphls::model;
 
 namespace {
 
+/** Mutated 80-base DNA pairs for the two-kernel tests. */
 std::vector<host::AlignmentJob<seq::DnaChar>>
-makeJobs(int n, uint64_t seed)
+partitionJobs(int n, uint64_t seed)
 {
     std::vector<host::AlignmentJob<seq::DnaChar>> jobs;
     seq::Rng rng(seed);
@@ -30,33 +35,42 @@ makeJobs(int n, uint64_t seed)
     return jobs;
 }
 
-host::DeviceConfig
-cfgOf(int nb, int nk)
+host::BatchConfig
+partitionConfig(int nb, int nk)
 {
-    host::DeviceConfig c;
-    c.npe = 8;
-    c.nb = nb;
-    c.nk = nk;
-    return c;
+    host::BatchConfig cfg;
+    cfg.npe = 8;
+    cfg.nb = nb;
+    cfg.nk = nk;
+    return cfg;
 }
 
 } // namespace
 
-TEST(HeteroDevice, ResultsMatchDedicatedDevices)
+TEST(StreamPipeline, ConcurrentKernelPipelinesMatchDedicatedRuns)
 {
-    const auto jobs_g = makeJobs(20, 91);
-    const auto jobs_l = makeJobs(20, 92);
+    // Paper Section 4 step 5: NK heterogeneous kernels linked in one
+    // design. Each kernel partition is its own pipeline; both tickets
+    // are in flight before either is collected, so the two pools run
+    // concurrently — yet every result equals a dedicated run.
+    using G = kernels::GlobalAffine;
+    using L = kernels::LocalLinear;
+    const auto jobs_g = partitionJobs(20, 91);
+    const auto jobs_l = partitionJobs(20, 92);
 
-    host::HeteroDevice<kernels::GlobalAffine, kernels::LocalLinear> hetero(
-        cfgOf(2, 1), cfgOf(2, 1));
+    host::StreamPipeline<G> pipe_g(partitionConfig(2, 1));
+    host::StreamPipeline<L> pipe_l(partitionConfig(2, 1));
+    const auto ticket_g = pipe_g.submitBorrowed(jobs_g);
+    const auto ticket_l = pipe_l.submitBorrowed(jobs_l);
     std::vector<core::AlignResult<int32_t>> res_g, res_l;
-    hetero.run(jobs_g, jobs_l, &res_g, &res_l);
+    pipe_g.collect(ticket_g, &res_g);
+    pipe_l.collect(ticket_l, &res_l);
 
-    host::DeviceModel<kernels::GlobalAffine> solo_g(cfgOf(2, 1));
-    host::DeviceModel<kernels::LocalLinear> solo_l(cfgOf(2, 1));
+    host::StreamPipeline<G> solo_g(partitionConfig(2, 1));
+    host::StreamPipeline<L> solo_l(partitionConfig(2, 1));
     std::vector<core::AlignResult<int32_t>> want_g, want_l;
-    solo_g.run(jobs_g, &want_g);
-    solo_l.run(jobs_l, &want_l);
+    solo_g.runAll(jobs_g, &want_g);
+    solo_l.runAll(jobs_l, &want_l);
 
     ASSERT_EQ(res_g.size(), want_g.size());
     ASSERT_EQ(res_l.size(), want_l.size());
@@ -68,37 +82,43 @@ TEST(HeteroDevice, ResultsMatchDedicatedDevices)
         EXPECT_EQ(res_l[i].score, want_l[i].score);
 }
 
-TEST(HeteroDevice, MakespanIsMaxOfPartitions)
+TEST(StreamPipeline, ConcurrentKernelPartitionsCombineThroughput)
 {
-    const auto jobs_g = makeJobs(40, 93);
-    const auto jobs_l = makeJobs(4, 94);
-    host::HeteroDevice<kernels::GlobalAffine, kernels::LocalLinear> hetero(
-        cfgOf(2, 1), cfgOf(2, 1));
-    const auto stats = hetero.run(jobs_g, jobs_l);
-    EXPECT_EQ(stats.makespanCycles,
-              std::max(stats.first.makespanCycles,
-                       stats.second.makespanCycles));
-    EXPECT_GT(stats.first.makespanCycles, stats.second.makespanCycles);
+    // The partitions overlap, so the design's makespan is the slower
+    // partition's, and the combined rate beats either partition alone.
+    using G = kernels::GlobalAffine;
+    using L = kernels::LocalLinear;
+    auto run = [](int nb, int nk, int n_g, uint64_t seed_g, int n_l,
+                  uint64_t seed_l) {
+        const auto jobs_g = partitionJobs(n_g, seed_g);
+        const auto jobs_l = partitionJobs(n_l, seed_l);
+        host::StreamPipeline<G> pipe_g(partitionConfig(nb, nk));
+        host::StreamPipeline<L> pipe_l(partitionConfig(nb, nk));
+        const auto ticket_g = pipe_g.submitBorrowed(jobs_g);
+        const auto ticket_l = pipe_l.submitBorrowed(jobs_l);
+        return std::make_pair(pipe_g.collect(ticket_g),
+                              pipe_l.collect(ticket_l));
+    };
+    const auto [big, small] = run(2, 1, 40, 93, 4, 94);
+    EXPECT_GT(big.makespanCycles, small.makespanCycles);
+
+    const auto [first, second] = run(2, 2, 32, 95, 32, 96);
+    const double combined =
+        (first.alignments + second.alignments) /
+        std::max(first.seconds, second.seconds);
+    EXPECT_GT(combined, first.alignsPerSec);
+    EXPECT_GT(combined, second.alignsPerSec);
 }
 
-TEST(HeteroDevice, CombinedThroughputExceedsEitherPartition)
+TEST(ResourceModel, HeterogeneousPartitionsFitTheDevice)
 {
-    const auto jobs_g = makeJobs(32, 95);
-    const auto jobs_l = makeJobs(32, 96);
-    host::HeteroDevice<kernels::GlobalAffine, kernels::LocalLinear> hetero(
-        cfgOf(2, 2), cfgOf(2, 2));
-    const auto stats = hetero.run(jobs_g, jobs_l);
-    EXPECT_GT(stats.alignsPerSec, stats.first.alignsPerSec);
-    EXPECT_GT(stats.alignsPerSec, stats.second.alignsPerSec);
-}
-
-TEST(HeteroDevice, CombinedResourcesFitTheDevice)
-{
-    host::HeteroDevice<kernels::GlobalAffine, kernels::LocalLinear> hetero(
-        cfgOf(8, 2), cfgOf(8, 2));
-    const auto r = hetero.resources(
-        model::kernelHwDesc<kernels::GlobalAffine>(256, 256, 2),
-        model::kernelHwDesc<kernels::LocalLinear>(256, 256, 1));
-    EXPECT_TRUE(model::FpgaDevice::xcvu9p().fits(r));
+    // Paper Section 4 step 5: a global and a local aligner side by side,
+    // 2 channels x 8 blocks of 8 PEs each, share one XCVU9P.
+    const auto r =
+        estimateKernel(kernelHwDesc<kernels::GlobalAffine>(256, 256, 2), 8,
+                       8) * 2.0 +
+        estimateKernel(kernelHwDesc<kernels::LocalLinear>(256, 256, 1), 8,
+                       8) * 2.0;
+    EXPECT_TRUE(FpgaDevice::xcvu9p().fits(r));
     EXPECT_GT(r.lut, 0.0);
 }

@@ -175,16 +175,3 @@ TEST(ResourceModel, DspOrderingMatchesPaper)
     EXPECT_GT(dsp(8), dsp(9) * 5);
     EXPECT_GT(dsp(9), dsp(1) * 10);
 }
-
-TEST(ResourceModel, HeterogeneousPartitionsFitTheDevice)
-{
-    // Paper Section 4 step 5: a global and a local aligner side by side,
-    // 2 channels x 8 blocks of 8 PEs each, share one XCVU9P.
-    const auto r =
-        estimateKernel(kernelHwDesc<kernels::GlobalAffine>(256, 256, 2), 8,
-                       8) * 2.0 +
-        estimateKernel(kernelHwDesc<kernels::LocalLinear>(256, 256, 1), 8,
-                       8) * 2.0;
-    EXPECT_TRUE(FpgaDevice::xcvu9p().fits(r));
-    EXPECT_GT(r.lut, 0.0);
-}
